@@ -29,7 +29,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .canon import CanonicalKey, canonical_graph, canonical_key
+from .canon import (
+    MAX_COMPONENT_VERTICES,
+    CanonicalKey,
+    CanonicalRefusalError,
+    canonical_graph,
+    canonical_key,
+)
 from .census import subgraph_census
 from .factors import divisors, f_poly_by_division
 from .graph6 import emit_graph6
@@ -382,6 +388,12 @@ def structured_class_search(n: int, cache: Optional[PolyCache] = None,
     polynomial-tested exactly."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"structured search requires odd n >= 3, got {n}")
+    if n > MAX_COMPONENT_VERTICES:
+        # members are identified by canonical key, and C_n is a component
+        raise CanonicalRefusalError(
+            f"structured search supports n <= {MAX_COMPONENT_VERTICES} "
+            f"(MAX_COMPONENT_VERTICES, the canonical-key limit), got {n}"
+        )
     started = time.perf_counter()
     if cache is None:
         cache = PolyCache()

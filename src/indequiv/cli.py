@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .canon import CanonicalRefusalError, canonical_graph
@@ -36,8 +35,6 @@ from .indpoly import PolyCache, indpoly
 from .intpoly import ExactDivisionError, IntPoly
 from .ledger import run_ledger
 
-CACHE_ENV_VAR = "GRAPHEQ_CACHE"
-
 _DOMAIN_ERRORS = (
     GraphSpecError,
     Graph6Error,
@@ -51,10 +48,6 @@ def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--format", choices=("json", "text"), default="text",
         help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--cache", default=None,
-        help=f"polynomial cache path (default: ${CACHE_ENV_VAR} if set)",
     )
     parser.add_argument(
         "--threads", type=int, default=1,
@@ -108,16 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_flags(p_ledger)
 
     return parser
-
-
-def _load_cache(args) -> tuple[PolyCache, str | None]:
-    path = args.cache or os.environ.get(CACHE_ENV_VAR)
-    if path and os.path.exists(path):
-        try:
-            return PolyCache.load(path), path
-        except OSError as exc:
-            print(f"warning: ignoring unreadable cache {path}: {exc}", file=sys.stderr)
-    return PolyCache(), path
 
 
 def _poly_json(p: IntPoly) -> list[str]:
@@ -282,9 +265,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cache, cache_path = _load_cache(args)
     try:
-        code = _COMMANDS[args.command](args, cache)
+        return _COMMANDS[args.command](args, PolyCache())
     except (GraphSpecError, Graph6Error) as exc:
         # a malformed graph specification is a usage problem
         parser.print_usage(sys.stderr)
@@ -293,9 +275,6 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if cache_path:
-        cache.save(cache_path)
-    return code
 
 
 if __name__ == "__main__":

@@ -1,35 +1,29 @@
 """Exact independence polynomials.
 
 Two routes are provided on purpose: a subset-enumeration brute force (the
-oracle) and a vertex-deletion recursion with component splitting and
-canonical-key memoization (the fast path).  The recursion uses
+oracle) and a vertex-deletion recursion (the fast path).  The recursion uses
 
     I(G, x) = I(G - u, x) + x * I(G - N[u], x)
 
-pivoting on a maximum-degree vertex, with ties broken by smallest canonical
-position.
+over vertex bitmasks of the input graph.  Each mask is split into connected
+components by bitmask search, a component pivots on a maximum-degree vertex
+(ties broken by the smallest label), and component polynomials are memoised
+by their labelled vertex mask for the duration of one top-level call.  No
+graphs are built and no canonical labelling is involved.  The recursion runs
+on an explicit stack, so a long path-like component cannot exhaust Python's
+recursion limit.
 """
 from __future__ import annotations
 
-import base64
-import json
-import logging
-import os
 from typing import Optional
 
-from .canon import connected_canonical_form
-from .graphs import (
-    Graph,
-    component_vertex_sets,
-    delete_closed_neighborhood,
-    delete_edge_closure,
-    delete_vertex,
-)
+from .graphs import Graph, delete_edge_closure
 from .intpoly import ONE, IntPoly, X
 
-log = logging.getLogger(__name__)
+#: Largest graph the brute force accepts: its DP table has 2^n entries.
+BRUTE_FORCE_MAX_VERTICES = 22
 
-BRUTE_FORCE_MAX_VERTICES = 30
+_K1 = IntPoly([1, 1])  # I(K_1, x)
 
 
 def indpoly_bruteforce(g: Graph) -> IntPoly:
@@ -42,123 +36,115 @@ def indpoly_bruteforce(g: Graph) -> IntPoly:
         )
     adj = g.adjacency_masks()
     coeffs = [0] * (n + 1)
-    if n <= 22:
-        # DP over masks: a set is independent iff dropping its lowest vertex
-        # leaves an independent set with no neighbor of that vertex.
-        indep = bytearray(1 << n)
-        indep[0] = 1
-        coeffs[0] = 1
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            v = low.bit_length() - 1
-            if indep[mask ^ low] and not adj[v] & mask:
-                indep[mask] = 1
-                coeffs[mask.bit_count()] += 1
-    else:
-        coeffs[0] = 1
-        for mask in range(1, 1 << n):
-            m = mask
-            while m:
-                low = m & -m
-                if adj[low.bit_length() - 1] & mask:
-                    break
-                m ^= low
-            else:
-                coeffs[mask.bit_count()] += 1
+    # DP over masks: a set is independent iff dropping its lowest vertex
+    # leaves an independent set with no neighbor of that vertex.
+    indep = bytearray(1 << n)
+    indep[0] = 1
+    coeffs[0] = 1
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        v = low.bit_length() - 1
+        if indep[mask ^ low] and not adj[v] & mask:
+            indep[mask] = 1
+            coeffs[mask.bit_count()] += 1
     return IntPoly(coeffs)
 
 
 class PolyCache:
-    """Canonical-key -> polynomial memo with hit/miss statistics.
+    """Memo statistics of `indpoly`, added up over the calls it is passed to.
 
-    Persists as JSON lines {"key": <base64>, "coeffs": [<decimal>, ...]};
-    corrupt lines are skipped with a warning, never trusted.
+    Each `indpoly` call keeps its own component memo and drops it on return;
+    nothing is shared between calls or stored on disk.  `misses` counts the
+    components (of two or more vertices) a call computed, each of which
+    became a memo entry (`entries`), and `hits` the times such a component
+    was needed again within the same call.
     """
 
     def __init__(self):
-        self._entries: dict[bytes, IntPoly] = {}
         self.hits = 0
         self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: bytes) -> Optional[IntPoly]:
-        p = self._entries.get(key)
-        if p is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return p
-
-    def put(self, key: bytes, poly: IntPoly):
-        self._entries.setdefault(key, poly)
+        self.entries = 0
 
     def stats(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self)}
-
-    def save(self, path: str):
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            for key in sorted(self._entries):
-                record = {
-                    "key": base64.b64encode(key).decode("ascii"),
-                    "coeffs": [str(c) for c in self._entries[key].coeffs],
-                }
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-
-    @classmethod
-    def load(cls, path: str) -> "PolyCache":
-        cache = cls()
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    key = base64.b64decode(record["key"], validate=True)
-                    poly = IntPoly(int(c) for c in record["coeffs"])
-                except (ValueError, KeyError, TypeError) as exc:
-                    log.warning("%s:%d: skipping corrupt cache line (%s)", path, lineno, exc)
-                    continue
-                if poly[0] != 1:
-                    log.warning(
-                        "%s:%d: skipping cache entry with constant term %d",
-                        path, lineno, poly[0],
-                    )
-                    continue
-                cache._entries[key] = poly
-        return cache
+        return {"hits": self.hits, "misses": self.misses, "entries": self.entries}
 
 
 def indpoly(g: Graph, cache: Optional[PolyCache] = None) -> IntPoly:
     """Exact I(G, x) via component splitting and memoized deletion recursion."""
-    if cache is None:
-        cache = PolyCache()
-    out = ONE
-    for vs in component_vertex_sets(g):
-        out = out * _component_poly(g.subgraph(vs), cache)
-    return out
+    adj = g.adjacency_masks()
+    parts = _components((1 << g.n) - 1, adj)
+    memo: dict[int, IntPoly] = {}
+    # component -> its pivot's (G - v, G - N[v]) components, while those
+    # are still being computed further up the stack
+    pending: dict[int, tuple[list[int], list[int]]] = {}
+    hits = 0
+    stack = [c for c in parts if c & (c - 1)]
+    while stack:
+        comp = stack[-1]
+        if comp in memo:
+            stack.pop()
+            hits += 1
+            continue
+        split = pending.pop(comp, None)
+        if split is None:
+            v = _pivot(comp, adj)
+            bit = 1 << v
+            split = (
+                _components(comp ^ bit, adj),
+                _components(comp & ~(adj[v] | bit), adj),
+            )
+            pending[comp] = split
+            stack.extend(c for side in split for c in side if c & (c - 1))
+        else:
+            stack.pop()
+            without, closed = split
+            memo[comp] = _product(without, memo) + _product(closed, memo).shift(1)
+    if cache is not None:
+        cache.hits += hits
+        cache.misses += len(memo)
+        cache.entries += len(memo)
+    return _product(parts, memo)
 
 
-def _component_poly(g: Graph, cache: PolyCache) -> IntPoly:
-    n = g.n
-    if n == 0:
-        return ONE
-    if n == 1:
-        return IntPoly([1, 1])
-    key, order = connected_canonical_form(g)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    pivot = order[0]  # max degree, smallest canonical position
-    without = indpoly(delete_vertex(g, pivot), cache)
-    closed = indpoly(delete_closed_neighborhood(g, pivot), cache)
-    poly = without + X * closed
-    cache.put(key, poly)
-    return poly
+def _components(mask: int, adj: tuple[int, ...]) -> list[int]:
+    """Connected components of the subgraph induced by mask, as masks."""
+    comps = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        comps.append(comp)
+        mask ^= comp
+    return comps
+
+
+def _pivot(comp: int, adj: tuple[int, ...]) -> int:
+    """A vertex of maximum degree within comp, the smallest such label."""
+    best = -1
+    pivot = 0
+    rest = comp
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        d = (adj[v] & comp).bit_count()
+        if d > best:
+            best, pivot = d, v
+        rest ^= low
+    return pivot
+
+
+def _product(comps: list[int], memo: dict[int, IntPoly]) -> IntPoly:
+    out = None
+    for c in comps:
+        poly = memo[c] if c & (c - 1) else _K1
+        out = poly if out is None else out * poly
+    return ONE if out is None else out
 
 
 def indpoly_edge_rule_check(g: Graph, e: tuple[int, int],
@@ -169,8 +155,6 @@ def indpoly_edge_rule_check(g: Graph, e: tuple[int, int],
 
     and report whether it matches the vertex-deletion route.
     """
-    if cache is None:
-        cache = PolyCache()
     g_minus_e, g_closure = delete_edge_closure(g, e)
     via_edge = indpoly(g_minus_e, cache) - (X * X) * indpoly(g_closure, cache)
     return via_edge == indpoly(g, cache)

@@ -120,31 +120,51 @@ def test_unicyclic_command(capsys):
     assert len(payload["graphs"]) == 5
 
 
-def test_cache_warm_cold_identical(capsys, tmp_path):
-    cache_file = str(tmp_path / "cache.jsonl")
-    _, cold, _ = run_cli(capsys, "class", "9", "--format", "json",
-                         "--cache", cache_file)
-    _, warm, _ = run_cli(capsys, "class", "9", "--format", "json",
-                         "--cache", cache_file)
-    assert cold == warm
-    assert (tmp_path / "cache.jsonl").exists()
+def test_poisoned_cache_file_is_never_read(capsys, tmp_path, monkeypatch):
+    # a JSON-lines polynomial cache entry for C_9 with its last coefficient
+    # set to 10, in the format older versions read from $GRAPHEQ_CACHE
+    import base64
 
+    from indequiv.canon import connected_canonical_form
+    from indequiv.graphs import cycle
 
-def test_cache_env_var(capsys, tmp_path, monkeypatch):
-    cache_file = str(tmp_path / "env-cache.jsonl")
-    monkeypatch.setenv("GRAPHEQ_CACHE", cache_file)
+    key = base64.b64encode(connected_canonical_form(cycle(9))[0]).decode("ascii")
+    poisoned = tmp_path / "poisoned.jsonl"
+    poisoned.write_text(json.dumps(
+        {"key": key, "coeffs": ["1", "9", "27", "30", "10"]}) + "\n")
+    _, clean, _ = run_cli(capsys, "poly", "C9", "--format", "json")
+    monkeypatch.setenv("GRAPHEQ_CACHE", str(poisoned))
     code, out, _ = run_cli(capsys, "poly", "C9", "--format", "json")
     assert code == 0
-    assert (tmp_path / "env-cache.jsonl").exists()
-
-
-def test_corrupt_cache_degrades_to_recomputation(capsys, tmp_path):
-    cache_file = tmp_path / "bad.jsonl"
-    cache_file.write_text("this is not json\n")
-    code, out, _ = run_cli(capsys, "poly", "C9", "--format", "json",
-                           "--cache", str(cache_file))
-    assert code == 0
+    assert out == clean
     assert json.loads(out)["coeffs"] == ["1", "9", "27", "30", "9"]
+
+
+def test_poly_of_a_cycle_beyond_the_canonical_limit(capsys):
+    code, out, _ = run_cli(capsys, "poly", "C70", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["coeffs"][-2:] == ["1225", "2"]
+
+
+def test_class_63_emits_long_graph6(capsys):
+    code, out, _ = run_cli(capsys, "class", "63", "--format", "json")
+    assert code == 0
+    members = json.loads(out)["members"]
+    assert sorted(m["description"] for m in members) == ["C63", "D63"]
+    assert all(m["graph6"].startswith("~??~") for m in members)
+
+
+def test_class_beyond_the_canonical_limit_is_refused_before_searching(
+        capsys, monkeypatch):
+    from indequiv import classes
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(classes, "indpoly", no_search)
+    code, _, err = run_cli(capsys, "class", "65")
+    assert code == 1
+    assert "MAX_COMPONENT_VERTICES" in err and "64" in err
 
 
 def test_verify_paper_small(capsys):

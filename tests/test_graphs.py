@@ -257,6 +257,27 @@ def test_graph6_round_trip(n, rnd):
     assert back.n == g.n and back.edges == g.edges
 
 
+@pytest.mark.parametrize("n", [63, 100])
+def test_graph6_long_size_field_against_networkx(n, rng):
+    nx = pytest.importorskip("networkx")
+    g = random_graph(rng, n, p=0.1)
+    h = nx.Graph()
+    h.add_nodes_from(range(n))  # networkx numbers vertices in insertion order
+    h.add_edges_from(g.edges)
+    want = nx.to_graph6_bytes(h, header=False).decode("ascii").rstrip("\n")
+    assert emit_graph6(g) == want
+    assert want.startswith("~")
+    assert parse_graph6(want) == g
+
+
+def test_graph6_short_size_field_unchanged():
+    assert emit_graph6(Graph(62))[0] == chr(62 + 63)
+    with pytest.raises(Graph6Error):
+        parse_graph6("~??}")    # four-byte field for n = 62
+    with pytest.raises(Graph6Error):
+        parse_graph6("~~??????")  # eight-byte field, n > 258047
+
+
 def test_edge_list_format():
     g = union(cycle(3), path(2))
     assert emit_edge_list(g) == "5; 0-1, 0-2, 1-2, 3-4"
