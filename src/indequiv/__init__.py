@@ -6,6 +6,7 @@ from .canon import (
     CanonicalRefusalError,
     canonical_graph,
     canonical_key,
+    connected_components,
     is_isomorphic,
 )
 from .census import SubgraphCensus, subgraph_census
@@ -37,7 +38,6 @@ from .graph6 import Graph6Error, emit_edge_list, emit_graph6, parse_edge_list, p
 from .graphs import (
     Graph,
     GraphSpecError,
-    connected_components,
     cycle,
     d_graph,
     degree_histogram,
@@ -66,9 +66,7 @@ from .intpoly import (
     is_unicyclic_poly,
     path_coeff,
     path_poly,
-    poly_add,
     poly_exact_div,
-    poly_mul,
     primitive_part,
 )
 from .ledger import LedgerEntry, run_ledger

@@ -185,12 +185,8 @@ def describe_graph(g: Graph) -> str:
     parts = [
         _describe_connected(g.subgraph(vs)) for vs in component_vertex_sets(g)
     ]
-    parts.sort(key=_description_sort)
+    parts.sort(key=lambda s: (len(s), s))
     return " + ".join(parts) if parts else "empty"
-
-
-def _description_sort(s: str) -> tuple[int, str]:
-    return (len(s), s)
 
 
 def _describe_connected(g: Graph) -> str:
@@ -202,119 +198,58 @@ def _describe_connected(g: Graph) -> str:
         return "P1"
     if hist == {2: n} and m == n:
         return f"C{n}"
-    if m == n and hist.get(3, 0) == 1 and hist.get(1, 0) == 1:
-        tri = subgraph_census(g).triangles
-        if tri == 1:
-            return f"D{n}"
-        # one branch vertex on a longer cycle: E family
-        c = _cycle_length(g)
-        return f"E({c - 3},{n - c})"
-    if m == n and hist.get(3, 0) == 2:
-        c = _cycle_length(g)
-        if c == 3:
-            params = _arm_lengths(g)
-            if params is not None:
-                kind, ps = params
-                return f"{kind}({','.join(map(str, ps))})"
+    if m == n and set(hist) <= {1, 2, 3} and hist.get(3, 0) in (1, 2):
+        # One cycle and as many leaves as branch (degree-3) vertices.  Each
+        # leaf ends an arm of `a` vertices hanging on its nearest branch
+        # vertex, its hub; a triangle leaves n - 3 vertices off the cycle.
+        branch = [v for v in range(n) if g.degree(v) == 3]
+        arms = []
+        for leaf in (v for v in range(n) if g.degree(v) == 1):
+            dist = _distances(g, leaf)
+            hub = min(branch, key=dist.__getitem__)
+            arms.append((dist[hub], hub))
+        if len(branch) == 1:
+            t = arms[0][0]  # the tail
+            return f"D{n}" if t == n - 3 else f"E({n - t - 3},{t})"
+        (a1, hub1), (a2, hub2) = sorted(arms)
+        if hub1 != hub2:
+            # one arm on each of two cycle vertices
+            if a1 + a2 == n - 3:
+                return f"A({a1},{a2})"
+        else:
+            # a stem of d - 1 vertices from the cycle to a fork with both arms
+            d = _distances(g, branch[0])[branch[1]]
+            if d + a1 + a2 == n - 3:
+                return f"B({d - 1},{a1},{a2})"
     if n == 4 and m == 3 and hist.get(3, 0) == 1:
         return "K1_3"
     if n == 4 and m == 5:
         return "K4-e"
-    degs = "".join(str(d) for d in sorted((v for v in hist for _ in range(hist[v]))))
+    degs = "".join(str(d) for d in sorted(g.degree(v) for v in range(n)))
     return f"graph(n={n},m={m},degs={degs})"
 
 
-def _cycle_length(g: Graph) -> int:
-    """Length of the unique cycle of a connected unicyclic graph: strip
-    leaves until 2-regular."""
-    alive = set(range(g.n))
-    deg = {v: g.degree(v) for v in alive}
-    changed = True
-    while changed:
-        changed = False
-        for v in list(alive):
-            if deg[v] <= 1:
-                alive.discard(v)
-                changed = True
-                for w in g.neighbors(v):
-                    if w in alive:
-                        deg[w] -= 1
-    return len(alive)
+def _distances(g: Graph, source: int) -> list[int]:
+    """Breadth-first distances from source (-1 where unreachable)."""
+    dist = [-1] * g.n
+    dist[source] = 0
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in g.neighbors(v):
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
 
 
-def _arm_lengths(g: Graph):
-    """Classify a triangle with two degree-3 vertices as A(m1,m2) or
-    B(m1,m2,m3) from its arm structure; None if neither."""
-    tri = None
-    for u, v in g.sorted_edges():
-        common = g.adjacency_masks()[u] & g.adjacency_masks()[v]
-        if common:
-            w = (common & -common).bit_length() - 1
-            tri = (u, v, w)
-            break
-    if tri is None:
-        return None
-    on_tri = [x for x in tri if g.degree(x) == 3]
-    if len(on_tri) == 2:
-        arms = sorted(_pendant_path_length(g, x, set(tri)) for x in on_tri)
-        return "A", tuple(arms)
-    if len(on_tri) == 1:
-        # stem from the triangle to the fork vertex, then two arms
-        start = on_tri[0]
-        stem = 0
-        prev, cur = start, _step_off(g, start, set(tri))
-        while g.degree(cur) == 2:
-            stem += 1
-            prev, cur = cur, _step_off(g, cur, {prev})
-        if g.degree(cur) != 3:
-            return None
-        a1, a2 = sorted(_fork_arms(g, cur, prev))
-        return "B", (stem, a1, a2)
-    return None
-
-
-def _step_off(g: Graph, v: int, banned: set[int]) -> int:
-    for w in g.neighbors(v):
-        if w not in banned:
-            return w
-    raise AssertionError("dead end while tracing an arm")
-
-
-def _pendant_path_length(g: Graph, anchor: int, banned: set[int]) -> int:
-    length = 0
-    prev, cur = anchor, _step_off(g, anchor, banned)
-    while True:
-        length += 1
-        nxt = [w for w in g.neighbors(cur) if w != prev]
-        if not nxt:
-            return length
-        prev, cur = cur, nxt[0]
-
-
-def _fork_arms(g: Graph, fork: int, came_from: int) -> list[int]:
-    arms = []
-    for w in g.neighbors(fork):
-        if w == came_from:
-            continue
-        length = 1
-        prev, cur = fork, w
-        while True:
-            nxt = [x for x in g.neighbors(cur) if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    return arms
-
-
-def _make_member(g: Graph, n: int, poly: IntPoly,
-                 description: Optional[str] = None) -> ClassMember:
-    cg = canonical_graph(g)
+def _make_member(g: Graph, n: int, poly: IntPoly) -> ClassMember:
     return ClassMember(
         key=canonical_key(g),
-        description=description or describe_graph(g),
-        graph6=emit_graph6(cg),
+        description=describe_graph(g),
+        graph6=emit_graph6(canonical_graph(g)),
         poly=poly,
         checks=structural_checks(g, n),
     )
@@ -323,36 +258,22 @@ def _make_member(g: Graph, n: int, poly: IntPoly,
 # --- structured search ------------------------------------------------------
 
 
-def _special_family_specs(kind: str, total: int, want_odd: str) -> Iterator[GraphSpec]:
-    """Parity-admissible A/B/E specs with the given total of arm vertices.
-
-    want_odd is "mixed" (r = 2 for A/E), "both" (r = 3 for A/E),
-    "none_or_two" (r = 2 for B) or "all" (r = 3 for B).
-    """
-    if kind in ("A", "E"):
-        make = a_spec if kind == "A" else e_spec
-        for m1 in range(1, total):
-            m2 = total - m1
-            if m2 < 1:
-                continue
-            odd = (m1 % 2) + (m2 % 2)
-            if want_odd == "mixed" and odd == 1:
-                yield make(m1, m2)
-            elif want_odd == "both" and odd == 2:
-                yield make(m1, m2)
-    elif kind == "B":
-        for m1 in range(0, total - 1):
-            for m2 in range(1, total - m1):
-                m3 = total - m1 - m2
-                if m3 < 1:
-                    continue
-                odd = (m1 % 2) + (m2 % 2) + (m3 % 2)
-                if want_odd == "none_or_two" and odd in (0, 2):
-                    yield b_spec(m1, m2, m3)
-                elif want_odd == "all" and odd == 3:
-                    yield b_spec(m1, m2, m3)
+def _special_family_specs(n: int, kind: str, total: int, r: int) -> Iterator[GraphSpec]:
+    """The A/B/E specs with the given total of arm vertices whose
+    closed-form independence number admits exactly r components in a
+    member of the class of C_n (see component_count_bound)."""
+    if kind == "B":
+        params = (
+            (m1, m2, total - m1 - m2)
+            for m1 in range(0, total - 1)
+            for m2 in range(1, total - m1)
+        )
     else:
-        raise ValueError(kind)
+        params = ((m1, total - m1) for m1 in range(1, total))
+    make = {"A": a_spec, "B": b_spec, "E": e_spec}[kind]
+    for ps in params:
+        if component_count_bound(n, kind, ps) == (r,):
+            yield make(*ps)
 
 
 def _divisor_cycle_multisets(n: int) -> Iterator[tuple[int, ...]]:
@@ -420,23 +341,18 @@ def structured_class_search(n: int, cache: Optional[PolyCache] = None,
     if n % 3 == 0 and n > 3:
         c3 = cycle_spec(3)
         # r = 2: C_3 plus one special component
-        arm_total = n - 3
-        for kind, want in (("A", "mixed"), ("E", "mixed"), ("B", "none_or_two")):
-            body = arm_total - (4 if kind == "B" else 3)
-            if body >= 1:
-                for spec in _special_family_specs(kind, body, want):
-                    candidates.append(union_spec(c3, spec))
+        for kind in "AEB":
+            body = n - 3 - family_vertex_count(kind, ())
+            for spec in _special_family_specs(n, kind, body, 2):
+                candidates.append(union_spec(c3, spec))
         # r = 3: C_3, one divisor cycle (or its D variant), one special
         for m in divisors(n):
             if m < 5 or m % 2 == 0 or m % 3 == 0 or m >= n:
                 continue
-            rest = n - 3 - m
-            for kind, want in (("A", "both"), ("E", "both"), ("B", "all")):
-                body = rest - (4 if kind == "B" else 3)
-                if body < 1:
-                    continue
+            for kind in "AEB":
+                body = n - 3 - m - family_vertex_count(kind, ())
                 for mid in (cycle_spec(m), d_spec(m)):
-                    for spec in _special_family_specs(kind, body, want):
+                    for spec in _special_family_specs(n, kind, body, 3):
                         candidates.append(union_spec(c3, mid, spec))
 
     if seed is not None:
@@ -722,47 +638,33 @@ def _exhaustive_unicyclic(n: int, cache: PolyCache, prune: bool,
             member = _make_member(g, n, target)
             members.setdefault(member.key.bytes, member)
 
-    if prune:
+    # pruned: divide the target down to ONE, skipping components that do
+    # not divide it; unpruned: multiply up from ONE and compare at the end
+    start, goal = (target, ONE) if prune else (ONE, target)
 
-        def descend(idx: int, remaining: int, quotient: IntPoly,
-                    chosen: list[_Component]):
-            if remaining == 0:
-                stats["multisets_tested"] += 1
-                if quotient == ONE:
-                    accept(chosen)
-                return
-            for k in range(idx, len(pool)):
-                comp = pool[k]
-                left = remaining - comp.size
-                if left < 0 or left == 1 or left == 2:
-                    continue
-                if not poly_divides(comp.poly, quotient):
-                    continue
-                chosen.append(comp)
-                descend(k, left, poly_exact_div(quotient, comp.poly), chosen)
-                chosen.pop()
+    def descend(idx: int, remaining: int, acc: IntPoly,
+                chosen: list[_Component]):
+        if remaining == 0:
+            stats["multisets_tested"] += 1
+            if acc == goal:
+                accept(chosen)
+            return
+        for k in range(idx, len(pool)):
+            comp = pool[k]
+            left = remaining - comp.size
+            if left < 0 or left == 1 or left == 2:
+                continue
+            if not prune:
+                nxt = acc * comp.poly
+            elif poly_divides(comp.poly, acc):
+                nxt = poly_exact_div(acc, comp.poly)
+            else:
+                continue
+            chosen.append(comp)
+            descend(k, left, nxt, chosen)
+            chosen.pop()
 
-        descend(0, n, target, [])
-    else:
-
-        def descend_full(idx: int, remaining: int, product: IntPoly,
-                         chosen: list[_Component]):
-            if remaining == 0:
-                stats["multisets_tested"] += 1
-                if product == target:
-                    accept(chosen)
-                return
-            for k in range(idx, len(pool)):
-                comp = pool[k]
-                left = remaining - comp.size
-                if left < 0 or left == 1 or left == 2:
-                    continue
-                chosen.append(comp)
-                descend_full(k, left, product * comp.poly, chosen)
-                chosen.pop()
-
-        descend_full(0, n, ONE, [])
-
+    descend(0, n, start, [])
     return [members[k] for k in sorted(members)]
 
 
@@ -819,7 +721,7 @@ def _scan_pairs(n: int, target_coeffs: tuple[int, ...],
         "polynomials_computed": 0,
         "labelled_members": 0,
     }
-    found: dict[bytes, tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] = {}
+    found: dict[bytes, tuple[tuple[int, int], ...]] = {}
     rejected: set[bytes] = set()
 
     def leaf():
@@ -839,7 +741,7 @@ def _scan_pairs(n: int, target_coeffs: tuple[int, ...],
             rejected.add(key)
             return
         stats["labelled_members"] += 1
-        found[key] = (tuple(g.sorted_edges()), target.coeffs)
+        found[key] = tuple(g.sorted_edges())
 
     def grow(idx: int, count: int, s: int):
         if count == n:
@@ -903,7 +805,7 @@ def _exhaustive_all_graphs(n: int, threads: int,
     if n < 2:
         raise ValueError("all-graphs scan requires n >= 2")
     pairs = list(itertools.combinations(range(total_edges), 2))
-    found: dict[bytes, tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] = {}
+    found: dict[bytes, tuple[tuple[int, int], ...]] = {}
     if threads <= 1:
         part_stats, part_found = _scan_pairs(n, target.coeffs, pairs)
         for k, v in part_stats.items():
@@ -916,14 +818,9 @@ def _exhaustive_all_graphs(n: int, threads: int,
             for part_stats, part_found in pool.map(_scan_pairs_worker, args):
                 for k, v in part_stats.items():
                     stats[k] = stats.get(k, 0) + v
-                for key, payload in part_found.items():
-                    found.setdefault(key, payload)
-    members = []
-    for key in sorted(found):
-        edges, coeffs = found[key]
-        g = Graph(n, edges)
-        members.append(_make_member(g, n, IntPoly(coeffs)))
-    return members
+                for key, edges in part_found.items():
+                    found.setdefault(key, edges)
+    return [_make_member(Graph(n, found[key]), n, target) for key in sorted(found)]
 
 
 def exhaustive_class_search(n: int, mode: str = "unicyclic_multisets",
@@ -935,16 +832,14 @@ def exhaustive_class_search(n: int, mode: str = "unicyclic_multisets",
     if cache is None:
         cache = PolyCache()
     stats: dict[str, int] = {}
-    mode_key = mode.replace("-", "_")
-    if mode_key in ("all_graphs", "exhaustive_all_graphs"):
+    if mode == "all_graphs":
         if not 3 <= n <= MAX_ALL_GRAPHS_N:
             raise ValueError(
                 f"all-graphs scan supports 3 <= n <= {MAX_ALL_GRAPHS_N}, got {n}"
             )
         members = _exhaustive_all_graphs(n, threads, stats)
         mode_name = "exhaustive_all_graphs"
-    elif mode_key in ("unicyclic", "unicyclic_multisets",
-                      "exhaustive_unicyclic_multisets"):
+    elif mode == "unicyclic_multisets":
         if not (3 <= n <= MAX_UNICYCLIC_N and n % 2 == 1):
             raise ValueError(
                 f"unicyclic-multiset scan supports odd 3 <= n <= "

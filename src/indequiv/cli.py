@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .canon import CanonicalRefusalError, canonical_graph
@@ -44,18 +45,29 @@ _DOMAIN_ERRORS = (
 )
 
 
-def _common_flags(parser: argparse.ArgumentParser):
+def _format_flag(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--format", choices=("json", "text"), default="text",
         help="output format (default: text)",
     )
+
+
+def _worker_count(text: str) -> int:
+    """--threads: at least 1, at most the number of CPUs."""
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
+    return min(k, os.cpu_count() or 1)
+
+
+def _threads_flag(parser: argparse.ArgumentParser):
     parser.add_argument(
-        "--threads", type=int, default=1,
-        help="worker processes for the exhaustive all-graphs scan",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="shuffle candidate processing order (results are order-independent)",
+        "--threads", type=_worker_count, default=1,
+        help="worker processes for the exhaustive all-graphs scan "
+             "(clamped to the CPU count)",
     )
 
 
@@ -68,14 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_poly = sub.add_parser("poly", help="independence polynomial of a graph")
     p_poly.add_argument("graphspec", help="e.g. C9, D7, A(2,1), C3+Gd, g6:...")
-    _common_flags(p_poly)
+    _format_flag(p_poly)
 
     p_factor = sub.add_parser("factor", help="factor I(C_n, x) for odd n")
     p_factor.add_argument("n", type=int)
     p_factor.add_argument(
         "--route", choices=("division", "transform"), default="division"
     )
-    _common_flags(p_factor)
+    _format_flag(p_factor)
 
     p_class = sub.add_parser("class", help="independence equivalence class of C_n")
     p_class.add_argument("n", type=int)
@@ -88,17 +100,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-prune", action="store_true",
         help="disable divisor pruning in the unicyclic oracle",
     )
-    _common_flags(p_class)
+    p_class.add_argument(
+        "--seed", type=int, default=None,
+        help="shuffle candidate processing order (results are order-independent)",
+    )
+    _threads_flag(p_class)
+    _format_flag(p_class)
 
     p_uni = sub.add_parser("unicyclic", help="connected unicyclic graphs on v vertices")
     p_uni.add_argument("v", type=int)
-    _common_flags(p_uni)
+    _format_flag(p_uni)
 
     p_ledger = sub.add_parser(
         "verify-paper", help="recompute the pinned published values"
     )
     p_ledger.add_argument("--max-n", type=int, default=45)
-    _common_flags(p_ledger)
+    _threads_flag(p_ledger)
+    _format_flag(p_ledger)
 
     return parser
 

@@ -159,14 +159,6 @@ def component_vertex_sets(g: Graph) -> list[list[int]]:
     return comps
 
 
-def connected_components(g: Graph) -> list[Graph]:
-    """Components as graphs, sorted by canonical key for determinism."""
-    from .canon import canonical_key
-
-    comps = [g.subgraph(vs) for vs in component_vertex_sets(g)]
-    return sorted(comps, key=lambda c: canonical_key(c).bytes)
-
-
 def is_connected(g: Graph) -> bool:
     return g.n == 0 or len(component_vertex_sets(g)) == 1
 

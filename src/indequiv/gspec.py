@@ -10,9 +10,6 @@ Grammar (case-sensitive, whitespace ignored):
              | 'Ga' | 'Gb' | 'Gc' | 'Gd' | "Ga'" | "Gb'" | "Gc'"
              | 'g6:'<graph6>
 
-Long-form aliases are accepted too: Cycle(9), Path(5), Dn(9),
-Named(Gd), Graph6(...), K4_minus_e, and Union(a, b, ...).
-
 Parameter bounds are enforced at parse time; violations name the bound.
 """
 from __future__ import annotations
@@ -129,7 +126,7 @@ def _check(ok: bool, message: str):
 
 
 _INT_FAMILY = re.compile(r"([CPD])(\d+)$")
-_PAREN_TERM = re.compile(r"(A|B|E|Cycle|Path|Dn|Named|Graph6|Union)\((.*)\)$", re.S)
+_PAREN_TERM = re.compile(r"([ABE])\((.*)\)$", re.S)
 
 
 def parse_spec(text: str) -> GraphSpec:
@@ -139,7 +136,7 @@ def parse_spec(text: str) -> GraphSpec:
     # whole string (a single graph6 string can already encode a union).
     if text.startswith("g6:"):
         return _parse_term(text)
-    parts = _split_top_level(text, "+")
+    parts = _split_top_level(text)
     if len(parts) > 1:
         return union_spec(*(parse_spec(p) for p in parts))
     return _parse_term(parts[0].strip())
@@ -152,9 +149,9 @@ def _parse_term(t: str) -> GraphSpec:
         body = t[3:]
         parse_graph6(body)  # validate now so errors surface at parse time
         return GraphSpec("graph6", (body,))
-    if t in ("K1_3", "K13"):
+    if t == "K1_3":
         return GraphSpec("k1_3")
-    if t in ("K4-e", "K4_minus_e"):
+    if t == "K4-e":
         return GraphSpec("k4_minus_e")
     if t in graphs.NAMED_GRAPHS:
         return GraphSpec("named", (t,))
@@ -165,26 +162,11 @@ def _parse_term(t: str) -> GraphSpec:
     m = _PAREN_TERM.match(t)
     if m:
         head, body = m.group(1), m.group(2)
-        if head == "Union":
-            inner = _split_top_level(body, ",")
-            return union_spec(*(parse_spec(p) for p in inner))
-        if head == "Graph6":
-            return _parse_term("g6:" + body.strip())
-        if head == "Named":
-            return _parse_term(body.strip())
-        args = [a.strip() for a in body.split(",")]
         try:
-            nums = [int(a) for a in args]
+            nums = [int(a) for a in body.split(",")]
         except ValueError:
             raise GraphSpecError(f"non-integer parameter in {t!r}") from None
-        maker = {
-            "A": a_spec,
-            "B": b_spec,
-            "E": e_spec,
-            "Cycle": cycle_spec,
-            "Path": path_spec,
-            "Dn": d_spec,
-        }[head]
+        maker = {"A": a_spec, "B": b_spec, "E": e_spec}[head]
         try:
             return maker(*nums)
         except TypeError:
@@ -192,7 +174,8 @@ def _parse_term(t: str) -> GraphSpec:
     raise GraphSpecError(f"unrecognized graph specification {t!r}")
 
 
-def _split_top_level(text: str, sep: str) -> list[str]:
+def _split_top_level(text: str) -> list[str]:
+    """Split on the '+' signs outside parentheses."""
     parts = []
     depth = 0
     cur = []
@@ -203,7 +186,7 @@ def _split_top_level(text: str, sep: str) -> list[str]:
             depth -= 1
             if depth < 0:
                 raise GraphSpecError("unbalanced parentheses")
-        if ch == sep and depth == 0:
+        if ch == "+" and depth == 0:
             parts.append("".join(cur).strip())
             cur = []
         else:

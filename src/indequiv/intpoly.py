@@ -127,14 +127,6 @@ ONE = IntPoly([1])
 X = IntPoly([0, 1])
 
 
-def poly_add(p: IntPoly, q: IntPoly) -> IntPoly:
-    return p + q
-
-
-def poly_mul(p: IntPoly, q: IntPoly) -> IntPoly:
-    return p * q
-
-
 def poly_exact_div(p: IntPoly, q: IntPoly) -> IntPoly:
     """Divide p by q, requiring the quotient to be exact over the integers.
 

@@ -28,6 +28,8 @@ from indequiv.graphs import (
     path,
     union,
 )
+from indequiv.graph6 import parse_graph6
+from indequiv.gspec import parse_spec
 from indequiv.indpoly import PolyCache, independence_number, indpoly
 from indequiv.intpoly import cycle_poly
 
@@ -238,6 +240,13 @@ def test_exhaustive_guards():
         exhaustive_class_search(9, "nonsense")
 
 
+def test_exhaustive_modes_are_the_two_cli_spellings():
+    for mode in ("all-graphs", "unicyclic", "exhaustive_all_graphs",
+                 "exhaustive_unicyclic_multisets"):
+        with pytest.raises(ValueError, match="unknown exhaustive mode"):
+            exhaustive_class_search(5, mode)
+
+
 def test_describe_graph():
     assert describe_graph(cycle(9)) == "C9"
     assert describe_graph(d_graph(7)) == "D7"
@@ -246,6 +255,41 @@ def test_describe_graph():
     assert describe_graph(b_graph(2, 3, 1)) == "B(2,1,3)"
     assert describe_graph(path(4)) == "P4"
     assert describe_graph(union(k4_minus_e(), path(2))) == "P2 + K4-e"
+
+
+def _family_keys(v):
+    """Canonical keys of every C/P/D/A/B/E graph on v vertices."""
+    graphs = [cycle(v), path(v)] + ([d_graph(v)] if v >= 4 else [])
+    for m1 in range(1, v - 3):
+        graphs += [a_graph(m1, v - 3 - m1), e_graph(m1, v - 3 - m1)]
+    for m1 in range(0, v - 5):
+        for m2 in range(1, v - 4 - m1):
+            graphs.append(b_graph(m1, m2, v - 4 - m1 - m2))
+    return {canonical_key(g) for g in graphs}
+
+
+def test_describe_graph_names_only_true_family_members():
+    # a family name must build a graph isomorphic to the named one, and the
+    # fallback must be used only for graphs outside every family
+    count = 0
+    for v in range(3, 11):
+        family = _family_keys(v)
+        for g in enumerate_unicyclic(v):
+            count += 1
+            name = describe_graph(g)
+            if name.startswith("graph("):
+                assert canonical_key(g) not in family, name
+            else:
+                assert canonical_key(parse_spec(name).build()) == canonical_key(g), name
+    assert count == 1040
+
+
+def test_describe_graph_degree_four_is_not_a_family():
+    # a triangle with two degree-3 vertices and a degree-4 vertex was once
+    # named A(1,1), a 5-vertex family, although it has 7 vertices
+    g = parse_graph6("F{`@?")
+    assert sorted(g.degree(v) for v in range(g.n)) == [1, 1, 1, 1, 3, 3, 4]
+    assert describe_graph(g) == "graph(n=7,m=7,degs=1111334)"
 
 
 # --- the endgame eliminations as computed facts --------------------------------

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +87,20 @@ def test_class_json_byte_stable(capsys):
     _, second, _ = run_cli(capsys, "class", "9", "--format", "json")
     _, seeded, _ = run_cli(capsys, "class", "9", "--format", "json", "--seed", "7")
     assert first == second == seeded
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("class", "9"), "class_9.json"),
+    (("class", "15"), "class_15.json"),
+    (("unicyclic", "7"), "unicyclic_7.json"),
+])
+def test_json_output_matches_golden_bytes(capsys, argv, name):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()
 
 
 def test_class_unicyclic_mode(capsys):
@@ -187,6 +202,60 @@ def test_verify_paper_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify-paper")
     assert code == 3
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("class", "9"), ("class", "9", "--mode", "all-graphs"), ("verify-paper",),
+])
+@pytest.mark.parametrize("bad", ["0", "-3", "two"])
+def test_threads_below_one_is_a_usage_error(capsys, argv, bad):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threads", bad])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("poly", "C9", "--threads", "2"),
+    ("poly", "C9", "--seed", "1"),
+    ("factor", "9", "--threads", "2"),
+    ("factor", "9", "--seed", "1"),
+    ("unicyclic", "5", "--threads", "2"),
+    ("unicyclic", "5", "--seed", "1"),
+    ("verify-paper", "--seed", "1"),
+])
+def test_threads_and_seed_only_where_they_act(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_threads_clamped_to_cpu_count(capsys, monkeypatch):
+    # fakes stand in for both scans, so no worker process is ever started
+    from indequiv import cli as cli_module
+    from indequiv.classes import ClassReport
+
+    seen = []
+
+    def fake_search(n, mode, cache=None, threads=1, prune=True):
+        seen.append(threads)
+        return ClassReport(n=n, mode=mode, members=[], stats={}, wall_time=0.0)
+
+    def fake_ledger(max_n=45, cache=None, threads=1):
+        seen.append(threads)
+        return []
+
+    monkeypatch.setattr(cli_module, "exhaustive_class_search", fake_search)
+    monkeypatch.setattr(cli_module, "run_ledger", fake_ledger)
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 3)
+    for k in ("1", "3", "10000"):
+        run_cli(capsys, "class", "9", "--mode", "all-graphs", "--threads", k)
+        run_cli(capsys, "verify-paper", "--threads", k)
+    assert seen == [1, 1, 3, 3, 3, 3]
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: None)
+    run_cli(capsys, "class", "9", "--mode", "all-graphs", "--threads", "8")
+    assert seen[-1] == 1
 
 
 def test_ledger_entries_pass_quickly():

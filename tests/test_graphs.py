@@ -5,6 +5,7 @@ from indequiv.canon import (
     CanonicalRefusalError,
     canonical_graph,
     canonical_key,
+    connected_components,
     is_isomorphic,
 )
 from indequiv.graph6 import (
@@ -19,7 +20,6 @@ from indequiv.graphs import (
     GraphSpecError,
     a_graph,
     b_graph,
-    connected_components,
     cycle,
     d_graph,
     degree_histogram,
@@ -205,6 +205,35 @@ def test_canonical_key_against_networkx(rng):
         nh = nx.Graph([(u, v) for u, v in h.edges])
         nh.add_nodes_from(range(n))
         assert is_isomorphic(g, h) == nx.is_isomorphic(ng, nh)
+
+
+@st.composite
+def labelled_graphs(draw, n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_canonical_key_equal_iff_networkx_isomorphic(data):
+    # random graphs, disconnected ones included, against a relabelled copy
+    # (always isomorphic) and an independent draw on as many vertices
+    nx = pytest.importorskip("networkx")
+
+    def as_nx(g):
+        h = nx.Graph(list(g.edges))
+        h.add_nodes_from(range(g.n))
+        return h
+
+    n = data.draw(st.integers(1, 8))
+    g = data.draw(labelled_graphs(n))
+    copy = g.relabel(data.draw(st.permutations(range(n))))
+    other = data.draw(labelled_graphs(n))
+    assert canonical_key(g) == canonical_key(copy)
+    for h in (copy, other):
+        same = canonical_key(g) == canonical_key(h)
+        assert same == nx.is_isomorphic(as_nx(g), as_nx(h))
 
 
 def test_canonical_graph_is_stable(rng):
