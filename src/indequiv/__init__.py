@@ -6,7 +6,6 @@ from .canon import (
     CanonicalRefusalError,
     canonical_graph,
     canonical_key,
-    connected_components,
     is_isomorphic,
 )
 from .census import SubgraphCensus, subgraph_census
@@ -49,7 +48,7 @@ from .graphs import (
     path,
     union,
 )
-from .gspec import GraphSpec, build_graph, parse_spec
+from .gspec import parse_spec
 from .indpoly import (
     PolyCache,
     independence_number,

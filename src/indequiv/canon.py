@@ -145,11 +145,5 @@ def canonical_graph(g: Graph) -> Graph:
     return union(*(cg for _, cg in comps))
 
 
-def connected_components(g: Graph) -> list[Graph]:
-    """Components as graphs, sorted by canonical key for determinism."""
-    comps = [g.subgraph(vs) for vs in component_vertex_sets(g)]
-    return sorted(comps, key=lambda c: canonical_key(c).bytes)
-
-
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     return canonical_key(g) == canonical_key(h)

@@ -47,15 +47,7 @@ from .graphs import (
     max_degree,
     union,
 )
-from .gspec import (
-    GraphSpec,
-    a_spec,
-    b_spec,
-    cycle_spec,
-    d_spec,
-    e_spec,
-    union_spec,
-)
+from .gspec import parse_spec
 from .indpoly import PolyCache, indpoly, indpoly_bruteforce
 from .intpoly import ONE, IntPoly, cycle_poly, poly_divides, poly_exact_div
 
@@ -258,7 +250,7 @@ def _make_member(g: Graph, n: int, poly: IntPoly) -> ClassMember:
 # --- structured search ------------------------------------------------------
 
 
-def _special_family_specs(n: int, kind: str, total: int, r: int) -> Iterator[GraphSpec]:
+def _special_family_specs(n: int, kind: str, total: int, r: int) -> Iterator[str]:
     """The A/B/E specs with the given total of arm vertices whose
     closed-form independence number admits exactly r components in a
     member of the class of C_n (see component_count_bound)."""
@@ -270,10 +262,9 @@ def _special_family_specs(n: int, kind: str, total: int, r: int) -> Iterator[Gra
         )
     else:
         params = ((m1, total - m1) for m1 in range(1, total))
-    make = {"A": a_spec, "B": b_spec, "E": e_spec}[kind]
     for ps in params:
         if component_count_bound(n, kind, ps) == (r,):
-            yield make(*ps)
+            yield f"{kind}({','.join(map(str, ps))})"
 
 
 def _divisor_cycle_multisets(n: int) -> Iterator[tuple[int, ...]]:
@@ -295,11 +286,9 @@ def _divisor_cycle_multisets(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(n, 0, ())
 
 
-def _cd_variants(ms: tuple[int, ...]) -> Iterator[tuple[GraphSpec, ...]]:
+def _cd_variants(ms: tuple[int, ...]) -> Iterator[tuple[str, ...]]:
     """All cycle/tailed-triangle substitutions of a divisor multiset."""
-    choices = [
-        (cycle_spec(m),) if m < 4 else (cycle_spec(m), d_spec(m)) for m in ms
-    ]
+    choices = [(f"C{m}",) if m < 4 else (f"C{m}", f"D{m}") for m in ms]
     yield from itertools.product(*choices)
 
 
@@ -325,9 +314,11 @@ def structured_class_search(n: int, cache: Optional[PolyCache] = None,
         "divisor_multisets_scanned": 0,
     }
     members: dict[bytes, ClassMember] = {}
-    candidates: list[GraphSpec] = [cycle_spec(n)]
+    # spec strings, each built only when tested: building all 1,121 graphs
+    # of n = 45 up front would cost several MB of peak memory
+    candidates = [f"C{n}"]
     if n >= 4:
-        candidates.append(d_spec(n))
+        candidates.append(f"D{n}")
 
     # members that are disjoint unions of divisor cycles (or D variants)
     for ms in _divisor_cycle_multisets(n):
@@ -336,33 +327,32 @@ def structured_class_search(n: int, cache: Optional[PolyCache] = None,
         for m in ms:
             product = product * cycle_poly(m)
         if product == target:
-            candidates.extend(union_spec(*v) for v in _cd_variants(ms))
+            candidates.extend("+".join(v) for v in _cd_variants(ms))
 
     if n % 3 == 0 and n > 3:
-        c3 = cycle_spec(3)
         # r = 2: C_3 plus one special component
         for kind in "AEB":
             body = n - 3 - family_vertex_count(kind, ())
             for spec in _special_family_specs(n, kind, body, 2):
-                candidates.append(union_spec(c3, spec))
+                candidates.append(f"C3+{spec}")
         # r = 3: C_3, one divisor cycle (or its D variant), one special
         for m in divisors(n):
             if m < 5 or m % 2 == 0 or m % 3 == 0 or m >= n:
                 continue
             for kind in "AEB":
                 body = n - 3 - m - family_vertex_count(kind, ())
-                for mid in (cycle_spec(m), d_spec(m)):
+                for mid in (f"C{m}", f"D{m}"):
                     for spec in _special_family_specs(n, kind, body, 3):
-                        candidates.append(union_spec(c3, mid, spec))
+                        candidates.append(f"C3+{mid}+{spec}")
 
     if seed is not None:
         random.Random(seed).shuffle(candidates)
 
     for spec in candidates:
         stats["candidates_generated"] += 1
-        g = spec.build()
+        g = parse_spec(spec)
         if g.n != n:
-            raise AssertionError(f"candidate {spec.describe()} has wrong size")
+            raise AssertionError(f"candidate {spec} has wrong size")
         stats["polynomial_tests"] += 1
         if indpoly(g, cache) == target:
             member = _make_member(g, n, target)
@@ -743,6 +733,21 @@ def _scan_pairs(n: int, target_coeffs: tuple[int, ...],
         stats["labelled_members"] += 1
         found[key] = tuple(g.sorted_edges())
 
+    def add(i: int):
+        u, v = edges[i]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        deg[u] += 1
+        deg[v] += 1
+        chosen.append(i)
+
+    def undo():
+        u, v = edges[chosen.pop()]
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+        deg[u] -= 1
+        deg[v] -= 1
+
     def grow(idx: int, count: int, s: int):
         if count == n:
             if s == s_target:
@@ -755,42 +760,19 @@ def _scan_pairs(n: int, target_coeffs: tuple[int, ...],
             s2 = s + deg[u] + deg[v] - (adj[u] & adj[v]).bit_count()
             if s2 > s_target:
                 continue
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            deg[u] += 1
-            deg[v] += 1
-            chosen.append(i)
+            add(i)
             grow(i + 1, count + 1, s2)
-            chosen.pop()
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-            deg[u] -= 1
-            deg[v] -= 1
+            undo()
 
     for i, j in pairs:
-        u, v = edges[i]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        deg[u] += 1
-        deg[v] += 1
+        add(i)
         x, y = edges[j]
         s2 = deg[x] + deg[y] - (adj[x] & adj[y]).bit_count()
         if s2 <= s_target:
-            adj[x] |= 1 << y
-            adj[y] |= 1 << x
-            deg[x] += 1
-            deg[y] += 1
-            chosen.extend((i, j))
+            add(j)
             grow(j + 1, 2, s2)
-            chosen.clear()
-            adj[x] &= ~(1 << y)
-            adj[y] &= ~(1 << x)
-            deg[x] -= 1
-            deg[y] -= 1
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        deg[u] -= 1
-        deg[v] -= 1
+            undo()
+        undo()
     return stats, found
 
 
@@ -805,21 +787,20 @@ def _exhaustive_all_graphs(n: int, threads: int,
     if n < 2:
         raise ValueError("all-graphs scan requires n >= 2")
     pairs = list(itertools.combinations(range(total_edges), 2))
-    found: dict[bytes, tuple[tuple[int, int], ...]] = {}
     if threads <= 1:
-        part_stats, part_found = _scan_pairs(n, target.coeffs, pairs)
-        for k, v in part_stats.items():
-            stats[k] = stats.get(k, 0) + v
-        found.update(part_found)
+        # a single chunk, so one set of rejected keys serves the whole scan
+        results = [_scan_pairs(n, target.coeffs, pairs)]
     else:
         chunks = [pairs[i::threads * 4] for i in range(threads * 4)]
         args = [(n, target.coeffs, chunk) for chunk in chunks if chunk]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part_stats, part_found in pool.map(_scan_pairs_worker, args):
-                for k, v in part_stats.items():
-                    stats[k] = stats.get(k, 0) + v
-                for key, edges in part_found.items():
-                    found.setdefault(key, edges)
+            results = list(pool.map(_scan_pairs_worker, args))
+    found: dict[bytes, tuple[tuple[int, int], ...]] = {}
+    for part_stats, part_found in results:
+        for k, v in part_stats.items():
+            stats[k] = stats.get(k, 0) + v
+        for key, edges in part_found.items():
+            found.setdefault(key, edges)
     return [_make_member(Graph(n, found[key]), n, target) for key in sorted(found)]
 
 

@@ -63,14 +63,6 @@ def _worker_count(text: str) -> int:
     return min(k, os.cpu_count() or 1)
 
 
-def _threads_flag(parser: argparse.ArgumentParser):
-    parser.add_argument(
-        "--threads", type=_worker_count, default=1,
-        help="worker processes for the exhaustive all-graphs scan "
-             "(clamped to the CPU count)",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="indequiv",
@@ -104,7 +96,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None,
         help="shuffle candidate processing order (results are order-independent)",
     )
-    _threads_flag(p_class)
+    p_class.add_argument(
+        "--threads", type=_worker_count, default=1,
+        help="worker processes for the exhaustive all-graphs scan "
+             "(clamped to the CPU count)",
+    )
     _format_flag(p_class)
 
     p_uni = sub.add_parser("unicyclic", help="connected unicyclic graphs on v vertices")
@@ -115,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify-paper", help="recompute the pinned published values"
     )
     p_ledger.add_argument("--max-n", type=int, default=45)
-    _threads_flag(p_ledger)
     _format_flag(p_ledger)
 
     return parser
@@ -162,12 +157,11 @@ def _print_report(report: ClassReport):
 
 
 def _cmd_poly(args, cache: PolyCache) -> int:
-    spec = parse_spec(args.graphspec)
-    p = indpoly(spec.build(), cache)
+    p = indpoly(parse_spec(args.graphspec), cache)
     if args.format == "json":
         _emit({"coeffs": _poly_json(p)})
     else:
-        print(f"{spec.describe()}: I(x) = {p}")
+        print(f"{args.graphspec.strip()}: I(x) = {p}")
     return 0
 
 
@@ -241,7 +235,7 @@ def _cmd_unicyclic(args, cache: PolyCache) -> int:
 
 
 def _cmd_verify(args, cache: PolyCache) -> int:
-    entries = run_ledger(max_n=args.max_n, cache=cache, threads=args.threads)
+    entries = run_ledger(max_n=args.max_n, cache=cache)
     failed = [e for e in entries if not e.passed]
     if args.format == "json":
         _emit(

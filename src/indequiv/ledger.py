@@ -76,8 +76,8 @@ _NAMED_CLAIMS = (
 _CLASS_SIZES = {3: 1, 9: 6, 15: 8}
 
 
-def run_ledger(max_n: int = 45, cache: Optional[PolyCache] = None,
-               threads: int = 1) -> list[LedgerEntry]:
+def run_ledger(max_n: int = 45,
+               cache: Optional[PolyCache] = None) -> list[LedgerEntry]:
     """Recompute the pinned values; max_n bounds the class-list sweep."""
     if max_n < 15:
         raise ValueError("max_n must be at least 15 to cover the known classes")
@@ -129,7 +129,7 @@ def run_ledger(max_n: int = 45, cache: Optional[PolyCache] = None,
                 )
             )
 
-    report6 = exhaustive_class_search(6, "all_graphs", cache, threads=threads)
+    report6 = exhaustive_class_search(6, "all_graphs", cache)
     expected6 = sorted(
         canonical_key(g).bytes.hex()
         for g in (cycle(6), d_graph(6), union(k4_minus_e(), path(2)))

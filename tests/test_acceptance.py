@@ -118,6 +118,16 @@ def test_criterion_2_classification_classes(structured_reports):
     } | {canonical_key(cycle(15)).bytes, canonical_key(d_graph(15)).bytes}
     assert structured_reports[15].member_keys() == expected15
 
+    # candidate generation is pinned too, not only the members it yields
+    candidates = {
+        n: structured_reports[n].stats["candidates_generated"] for n in ODD
+    }
+    assert candidates == {
+        3: 1, 5: 2, 7: 2, 9: 7, 11: 2, 13: 2, 15: 56, 17: 2, 19: 2, 21: 149,
+        23: 2, 25: 2, 27: 232, 29: 2, 31: 2, 33: 467, 35: 2, 37: 2, 39: 692,
+        41: 2, 43: 2, 45: 1121,
+    }
+
     elapsed = time.perf_counter() - started
     total_search = sum(r.wall_time for r in structured_reports.values())
     assert total_search < 300.0

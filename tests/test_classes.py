@@ -208,10 +208,27 @@ def test_structured_seed_invariance():
         ]
 
 
-def test_exhaustive_all_graphs_6():
+def test_exhaustive_all_graphs_6(monkeypatch):
+    # rejected keys are kept per chunk, so a serial scan must stay a single
+    # chunk, and it must start no worker process
+    from indequiv import classes
+
+    chunks = []
+    scan = classes._scan_pairs
+
+    def spy(*args):
+        chunks.append(args)
+        return scan(*args)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a serial scan started a worker pool")
+
+    monkeypatch.setattr(classes, "_scan_pairs", spy)
+    monkeypatch.setattr(classes, "ProcessPoolExecutor", no_pool)
     report = exhaustive_class_search(6, "all_graphs")
     expected = keys_of(cycle(6), d_graph(6), union(k4_minus_e(), path(2)))
     assert report.member_keys() == expected
+    assert len(chunks) == 1
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
@@ -280,7 +297,7 @@ def test_describe_graph_names_only_true_family_members():
             if name.startswith("graph("):
                 assert canonical_key(g) not in family, name
             else:
-                assert canonical_key(parse_spec(name).build()) == canonical_key(g), name
+                assert canonical_key(parse_spec(name)) == canonical_key(g), name
     assert count == 1040
 
 

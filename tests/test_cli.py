@@ -25,6 +25,12 @@ def test_poly_text(capsys):
     assert "1 + 5x + 5x^2" in out
 
 
+def test_poly_text_echoes_the_spec(capsys):
+    code, out, _ = run_cli(capsys, "poly", " C3+Gd ")
+    assert code == 0
+    assert out == "C3+Gd: I(x) = 1 + 9x + 27x^2 + 30x^3 + 9x^4\n"
+
+
 def test_poly_union_and_graph6(capsys):
     code, out, _ = run_cli(capsys, "poly", "C3+Gd", "--format", "json")
     assert code == 0
@@ -193,7 +199,7 @@ def test_verify_paper_failure_exit_code(capsys, monkeypatch):
     from indequiv import cli as cli_module
     from indequiv.ledger import LedgerEntry
 
-    def fake_ledger(max_n=45, cache=None, threads=1):
+    def fake_ledger(max_n=45, cache=None):
         return [
             LedgerEntry("x", "fake claim", "1", "2", "fail"),
         ]
@@ -205,7 +211,8 @@ def test_verify_paper_failure_exit_code(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ("class", "9"), ("class", "9", "--mode", "all-graphs"), ("verify-paper",),
+    ("class", "9"), ("class", "9", "--mode", "all-graphs"),
+    ("class", "9", "--mode", "unicyclic"),
 ])
 @pytest.mark.parametrize("bad", ["0", "-3", "two"])
 def test_threads_below_one_is_a_usage_error(capsys, argv, bad):
@@ -223,6 +230,7 @@ def test_threads_below_one_is_a_usage_error(capsys, argv, bad):
     ("unicyclic", "5", "--threads", "2"),
     ("unicyclic", "5", "--seed", "1"),
     ("verify-paper", "--seed", "1"),
+    ("verify-paper", "--threads", "2"),
 ])
 def test_threads_and_seed_only_where_they_act(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -232,7 +240,7 @@ def test_threads_and_seed_only_where_they_act(capsys, argv):
 
 
 def test_threads_clamped_to_cpu_count(capsys, monkeypatch):
-    # fakes stand in for both scans, so no worker process is ever started
+    # a fake stands in for the scan, so no worker process is ever started
     from indequiv import cli as cli_module
     from indequiv.classes import ClassReport
 
@@ -242,17 +250,11 @@ def test_threads_clamped_to_cpu_count(capsys, monkeypatch):
         seen.append(threads)
         return ClassReport(n=n, mode=mode, members=[], stats={}, wall_time=0.0)
 
-    def fake_ledger(max_n=45, cache=None, threads=1):
-        seen.append(threads)
-        return []
-
     monkeypatch.setattr(cli_module, "exhaustive_class_search", fake_search)
-    monkeypatch.setattr(cli_module, "run_ledger", fake_ledger)
     monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 3)
     for k in ("1", "3", "10000"):
         run_cli(capsys, "class", "9", "--mode", "all-graphs", "--threads", k)
-        run_cli(capsys, "verify-paper", "--threads", k)
-    assert seen == [1, 1, 3, 3, 3, 3]
+    assert seen == [1, 3, 3]
     monkeypatch.setattr(cli_module.os, "cpu_count", lambda: None)
     run_cli(capsys, "class", "9", "--mode", "all-graphs", "--threads", "8")
     assert seen[-1] == 1

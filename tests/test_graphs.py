@@ -5,7 +5,6 @@ from indequiv.canon import (
     CanonicalRefusalError,
     canonical_graph,
     canonical_key,
-    connected_components,
     is_isomorphic,
 )
 from indequiv.graph6 import (
@@ -138,16 +137,6 @@ def test_delete_edge_closure():
     assert g_e.n == 2 and g_e.n_edges == 0 and g_nn.n == 0
     with pytest.raises(ValueError):
         delete_edge_closure(cycle(5), (0, 2))
-
-
-def test_connected_components():
-    comps = connected_components(union(cycle(3), cycle(5)))
-    assert [c.n for c in comps] in ([3, 5], [5, 3])
-    assert connected_components(Graph(0)) == []
-    sizes = sorted(
-        c.n for c in connected_components(union(cycle(3), cycle(5), a_graph(3, 1)))
-    )
-    assert sizes == [3, 5, 7]
 
 
 def test_is_unicyclic():
