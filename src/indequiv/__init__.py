@@ -2,7 +2,6 @@
 odd-cycle polynomials, and complete independence equivalence classes."""
 
 from .canon import (
-    CanonicalKey,
     CanonicalRefusalError,
     canonical_graph,
     canonical_key,
@@ -22,18 +21,16 @@ from .classes import (
     structured_class_search,
 )
 from .factors import (
-    FactorSet,
-    RootSpec,
-    check_roots,
     cyclotomic_poly,
     euler_phi,
     f_poly_by_division,
     f_poly_by_transform,
     factorize_cycle_poly,
     min_poly_2cos,
+    root_residual,
     root_values,
 )
-from .graph6 import Graph6Error, emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
+from .graph6 import Graph6Error, emit_graph6, parse_graph6
 from .graphs import (
     Graph,
     GraphSpecError,

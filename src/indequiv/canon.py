@@ -11,8 +11,6 @@ Keys of disconnected graphs concatenate the sorted per-component keys.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import Graph, component_vertex_sets, union
 
 #: Hard per-component size bound; beyond it the search is refused.
@@ -25,16 +23,6 @@ _NODE_BUDGET = 2_000_000
 
 class CanonicalRefusalError(ValueError):
     """Canonicalization refused (component too large or search too big)."""
-
-
-@dataclass(frozen=True, order=True)
-class CanonicalKey:
-    """Isomorphism-invariant encoding: equal keys iff isomorphic graphs."""
-
-    bytes: bytes
-
-    def hex(self) -> str:
-        return self.bytes.hex()
 
 
 def connected_canonical_form(g: Graph) -> tuple[bytes, tuple[int, ...]]:
@@ -118,13 +106,13 @@ def connected_canonical_form(g: Graph) -> tuple[bytes, tuple[int, ...]]:
     return n.to_bytes(2, "big") + packed, order
 
 
-def canonical_key(g: Graph) -> CanonicalKey:
+def canonical_key(g: Graph) -> bytes:
     """Exact isomorphism key: per-component canonical forms, sorted."""
     parts = sorted(
         connected_canonical_form(g.subgraph(vs))[0] for vs in component_vertex_sets(g)
     )
     header = g.n.to_bytes(2, "big") + len(parts).to_bytes(2, "big")
-    return CanonicalKey(header + b"".join(parts))
+    return header + b"".join(parts)
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -31,7 +31,6 @@ from typing import Iterator, Optional
 
 from .canon import (
     MAX_COMPONENT_VERTICES,
-    CanonicalKey,
     CanonicalRefusalError,
     canonical_graph,
     canonical_key,
@@ -153,7 +152,7 @@ def component_count_bound(n: int, kind: str, params: tuple[int, ...]) -> tuple[i
 
 @dataclass(frozen=True)
 class ClassMember:
-    key: CanonicalKey
+    key: bytes
     description: str
     graph6: str
     poly: IntPoly
@@ -169,7 +168,7 @@ class ClassReport:
     wall_time: float
 
     def member_keys(self) -> set[bytes]:
-        return {m.key.bytes for m in self.members}
+        return {m.key for m in self.members}
 
 
 def describe_graph(g: Graph) -> str:
@@ -356,7 +355,7 @@ def structured_class_search(n: int, cache: Optional[PolyCache] = None,
         stats["polynomial_tests"] += 1
         if indpoly(g, cache) == target:
             member = _make_member(g, n, target)
-            members.setdefault(member.key.bytes, member)
+            members.setdefault(member.key, member)
 
     ordered = [members[k] for k in sorted(members)]
     return ClassReport(
@@ -626,7 +625,7 @@ def _exhaustive_unicyclic(n: int, cache: PolyCache, prune: bool,
         stats["polynomial_tests"] = stats.get("polynomial_tests", 0) + 1
         if indpoly(g, cache) == target:
             member = _make_member(g, n, target)
-            members.setdefault(member.key.bytes, member)
+            members.setdefault(member.key, member)
 
     # pruned: divide the target down to ONE, skipping components that do
     # not divide it; unpruned: multiply up from ONE and compare at the end
@@ -694,7 +693,8 @@ def _scan_pairs(n: int, target_coeffs: tuple[int, ...],
 
     Prunes on the cubic-coefficient statistic S = sum C(deg,2) - triangles,
     which never decreases as edges are added, then filters leaves on the
-    quartic coefficient before computing full polynomials.
+    quartic coefficient.  Returns the scan counts and, per canonical key
+    of a leaf that passes, [first labelled edge list, labelled copies].
     """
     target = IntPoly(target_coeffs)
     s_target = target[3] - math.comb(n, 3) + n * (n - 2)
@@ -704,34 +704,16 @@ def _scan_pairs(n: int, target_coeffs: tuple[int, ...],
     adj = [0] * n
     deg = [0] * n
     chosen: list[int] = []
-    stats = {
-        "edge_sets_visited": 0,
-        "i3_leaves": 0,
-        "i4_pass": 0,
-        "polynomials_computed": 0,
-        "labelled_members": 0,
-    }
-    found: dict[bytes, tuple[tuple[int, int], ...]] = {}
-    rejected: set[bytes] = set()
+    stats = {"edge_sets_visited": 0, "i3_leaves": 0, "i4_pass": 0}
+    found: dict[bytes, list] = {}
 
     def leaf():
         stats["i3_leaves"] += 1
         if _count_independent_quads(adj, n, i4_target) != i4_target:
             return
         stats["i4_pass"] += 1
-        g = Graph(n, [edges[i] for i in chosen])
-        key = canonical_key(g).bytes
-        if key in found:
-            stats["labelled_members"] += 1
-            return
-        if key in rejected:
-            return
-        stats["polynomials_computed"] += 1
-        if indpoly_bruteforce(g) != target:
-            rejected.add(key)
-            return
-        stats["labelled_members"] += 1
-        found[key] = tuple(g.sorted_edges())
+        labelled = [edges[i] for i in chosen]
+        found.setdefault(canonical_key(Graph(n, labelled)), [labelled, 0])[1] += 1
 
     def add(i: int):
         u, v = edges[i]
@@ -776,32 +758,34 @@ def _scan_pairs(n: int, target_coeffs: tuple[int, ...],
     return stats, found
 
 
-def _scan_pairs_worker(args):
-    return _scan_pairs(*args)
-
-
 def _exhaustive_all_graphs(n: int, threads: int,
                            stats: dict[str, int]) -> list[ClassMember]:
     target = cycle_poly(n)
-    total_edges = n * (n - 1) // 2
-    if n < 2:
-        raise ValueError("all-graphs scan requires n >= 2")
-    pairs = list(itertools.combinations(range(total_edges), 2))
+    pairs = list(itertools.combinations(range(n * (n - 1) // 2), 2))
+    k = 4 * max(threads, 1)
+    scans = (_scan_pairs, itertools.repeat(n), itertools.repeat(target.coeffs),
+             [pairs[i::k] for i in range(k)])
     if threads <= 1:
-        # a single chunk, so one set of rejected keys serves the whole scan
-        results = [_scan_pairs(n, target.coeffs, pairs)]
+        results = list(map(*scans))
     else:
-        chunks = [pairs[i::threads * 4] for i in range(threads * 4)]
-        args = [(n, target.coeffs, chunk) for chunk in chunks if chunk]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_scan_pairs_worker, args))
-    found: dict[bytes, tuple[tuple[int, int], ...]] = {}
+            results = list(pool.map(*scans))
+    found: dict[bytes, list] = {}
     for part_stats, part_found in results:
-        for k, v in part_stats.items():
-            stats[k] = stats.get(k, 0) + v
-        for key, edges in part_found.items():
-            found.setdefault(key, edges)
-    return [_make_member(Graph(n, found[key]), n, target) for key in sorted(found)]
+        for key, v in part_stats.items():
+            stats[key] = stats.get(key, 0) + v
+        for key, (labelled, copies) in part_found.items():
+            found.setdefault(key, [labelled, 0])[1] += copies
+    # each isomorphism class is brute-forced once, whatever the chunking
+    stats["polynomials_computed"] = len(found)
+    stats["labelled_members"] = 0
+    members = []
+    for key in sorted(found):
+        g = Graph(n, found[key][0])
+        if indpoly_bruteforce(g) == target:
+            stats["labelled_members"] += found[key][1]
+            members.append(_make_member(g, n, target))
+    return members
 
 
 def exhaustive_class_search(n: int, mode: str = "unicyclic_multisets",

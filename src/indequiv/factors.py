@@ -20,7 +20,6 @@ agreement is a meaningful cross-check, enforced by the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .intpoly import (
     ExactDivisionError,
@@ -164,37 +163,20 @@ def f_poly_by_division(n: int) -> IntPoly:
     return poly
 
 
-@dataclass(frozen=True)
-class FactorSet:
-    """The factorization I(C_n, x) = prod over divisors m >= 3 of f_m."""
-
-    n: int
-    factors: dict[int, IntPoly]
-    route: str
-
-    def product(self) -> IntPoly:
-        out = ONE
-        for m in sorted(self.factors):
-            out = out * self.factors[m]
-        return out
-
-
-def factorize_cycle_poly(n: int, route: str = "division") -> FactorSet:
+def factorize_cycle_poly(n: int, route: str = "division") -> dict[int, IntPoly]:
     """Factor I(C_n, x) into {m: f_m for m | n, m >= 3}, verifying the
     product reassembles I(C_n, x) exactly."""
     _require_odd(n)
     if n < 3:
         raise ValueError(f"factorization is defined for odd n >= 3, got {n}")
-    if route == "division":
-        make = f_poly_by_division
-    elif route == "transform":
-        make = f_poly_by_transform
-    else:
+    make = {"division": f_poly_by_division, "transform": f_poly_by_transform}.get(route)
+    if make is None:
         raise ValueError(f"unknown route {route!r}")
     factors = {m: make(m) for m in divisors(n) if m >= 3}
-    fs = FactorSet(n=n, factors=factors, route=route)
-    expected = cycle_poly(n)
-    if fs.product() != expected:
+    product = ONE
+    for f in factors.values():
+        product = product * f
+    if product != cycle_poly(n):
         raise ExactDivisionError(
             f"factor product does not reassemble the cycle polynomial at n={n}"
         )
@@ -205,69 +187,43 @@ def factorize_cycle_poly(n: int, route: str = "division") -> FactorSet:
             raise InternalConsistencyError(
                 f"deg f_{m} = {f.degree} != phi({m})/2 = {euler_phi(m) // 2}"
             )
-    return fs
+    return factors
 
 
-@dataclass(frozen=True)
-class RootSpec:
-    """Closed-form roots of I(C_n, x), tagged with gcd(2i - 1, n)."""
-
-    n: int
-    roots: tuple[tuple[int, float, int], ...]  # (i, c_i, gcd(2i-1, n))
-
-
-def root_values(n: int) -> RootSpec:
+def root_values(n: int) -> list[tuple[int, float, int]]:
+    """The closed-form roots of I(C_n, x), as (i, c_i, gcd(2i - 1, n))."""
     _require_odd(n)
-    roots = []
-    for i in range(1, n // 2 + 1):
-        c = -1.0 / (2.0 + 2.0 * math.cos((2 * i - 1) * math.pi / n))
-        roots.append((i, c, math.gcd(2 * i - 1, n)))
-    return RootSpec(n=n, roots=tuple(roots))
+    return [
+        (i, -1.0 / (2.0 + 2.0 * math.cos((2 * i - 1) * math.pi / n)),
+         math.gcd(2 * i - 1, n))
+        for i in range(1, n // 2 + 1)
+    ]
 
 
-@dataclass(frozen=True)
-class RootCheckReport:
-    tolerance: float
-    max_residual: float
-    residuals: tuple[tuple[int, float], ...] = field(repr=False)
-
-    @property
-    def ok(self) -> bool:
-        return self.max_residual < self.tolerance
+#: A relative residual below this marks a closed-form value as a root.
+ROOT_TOLERANCE = 1e-9
 
 
-DEFAULT_ROOT_TOLERANCE = 1e-9
+def root_residual(f: IntPoly, n: int, m: int | None = None) -> float:
+    """The largest relative residual of f at the closed-form roots of
+    I(C_n, x): at the roots of f_m (gcd(2i - 1, n) = n / m) for a divisor m
+    of n, or at every root when m is None.
 
-
-def check_roots(f: IntPoly, spec: RootSpec, which="all",
-                tolerance: float = DEFAULT_ROOT_TOLERANCE) -> RootCheckReport:
-    """Evaluate f at the closed-form roots and report relative residuals.
-
-    which selects the divisor class: "coprime" keeps roots with
-    gcd(2i - 1, n) = 1 (the roots belonging to the top factor), an integer
-    divisor m keeps the roots belonging to that factor, and "all" keeps
-    every root (for the full cycle polynomial).  The residual scale is
-    max|coeff| * max(1, |c_i|)^deg, so the large-magnitude root near the
-    cos = -1 end does not drown the check.
+    The residual scale is max|coeff| * max(1, |c_i|)^deg, so the
+    large-magnitude root near the cos = -1 end does not drown the check.
     """
-    if which == "coprime":
-        which = spec.n
-    if which != "all":
-        if spec.n % which != 0:
-            raise ValueError(f"{which} does not divide {spec.n}")
-        wanted_tag = spec.n // which
+    roots = root_values(n)
+    if m is not None:
+        if m < 1 or n % m != 0:
+            raise ValueError(f"{m} is not a positive divisor of {n}")
+        roots = [r for r in roots if r[2] == n // m]
     coeff_scale = max(abs(c) for c in f.coeffs)
-    residuals = []
-    worst = 0.0
-    for i, c, tag in spec.roots:
-        if which != "all" and tag != wanted_tag:
-            continue
-        scale = coeff_scale * max(1.0, abs(c)) ** max(f.degree, 0)
-        r = abs(eval_float(f, c)) / scale
-        residuals.append((i, r))
-        worst = max(worst, r)
-    return RootCheckReport(
-        tolerance=tolerance, max_residual=worst, residuals=tuple(residuals)
+    return max(
+        (
+            abs(eval_float(f, c)) / (coeff_scale * max(1.0, abs(c)) ** max(f.degree, 0))
+            for _, c, _ in roots
+        ),
+        default=0.0,
     )
 
 

@@ -1,6 +1,5 @@
 """graph6 interchange format (no ">>graph6<<" header; the one-byte size
-field for n <= 62 and the four-byte one for 63 <= n <= 258047) and a
-human-readable edge-list text format for debugging."""
+field for n <= 62 and the four-byte one for 63 <= n <= 258047)."""
 from __future__ import annotations
 
 from .graphs import Graph
@@ -84,24 +83,3 @@ def parse_graph6(s: str) -> Graph:
             idx += 1
     return Graph(n, edges)
 
-
-def emit_edge_list(g: Graph) -> str:
-    """Debug format: "n_vertices; u-v, u-v, ..."."""
-    pairs = ", ".join(f"{u}-{v}" for u, v in g.sorted_edges())
-    return f"{g.n}; {pairs}" if pairs else f"{g.n};"
-
-
-def parse_edge_list(s: str) -> Graph:
-    head, _, rest = s.partition(";")
-    try:
-        n = int(head.strip())
-    except ValueError:
-        raise ValueError(f"bad vertex count {head.strip()!r}") from None
-    edges = []
-    for part in rest.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        u, _, v = part.partition("-")
-        edges.append((int(u), int(v)))
-    return Graph(n, edges)

@@ -117,9 +117,9 @@ def run_ledger(max_n: int = 45,
             )
         else:
             expected_keys = sorted(
-                canonical_key(g).bytes.hex() for g in (cycle(n), d_graph(n))
+                canonical_key(g).hex() for g in (cycle(n), d_graph(n))
             )
-            got_keys = sorted(m.key.bytes.hex() for m in report.members)
+            got_keys = sorted(m.key.hex() for m in report.members)
             entries.append(
                 _entry(
                     f"class-{n}-members",
@@ -131,7 +131,7 @@ def run_ledger(max_n: int = 45,
 
     report6 = exhaustive_class_search(6, "all_graphs", cache)
     expected6 = sorted(
-        canonical_key(g).bytes.hex()
+        canonical_key(g).hex()
         for g in (cycle(6), d_graph(6), union(k4_minus_e(), path(2)))
     )
     entries.append(
@@ -139,7 +139,7 @@ def run_ledger(max_n: int = 45,
             "class-6-members",
             "the class of C_6 is {C_6, D_6, (K_4 - e) + K_2}",
             expected6,
-            sorted(m.key.bytes.hex() for m in report6.members),
+            sorted(m.key.hex() for m in report6.members),
         )
     )
 

@@ -37,7 +37,7 @@ from conftest import naive_independent_counts
 
 
 def keys_of(*graphs):
-    return {canonical_key(g).bytes for g in graphs}
+    return {canonical_key(g) for g in graphs}
 
 
 # --- structural checks -------------------------------------------------------
@@ -109,7 +109,7 @@ def brute_force_unicyclic_count(v: int) -> int:
     for subset in combinations(all_edges, v):
         g = Graph(v, subset)
         if is_unicyclic(g):
-            seen.add(canonical_key(g).bytes)
+            seen.add(canonical_key(g))
     return len(seen)
 
 
@@ -127,7 +127,7 @@ def test_enumerate_unicyclic_against_brute_force(v):
 def test_enumerate_unicyclic_no_duplicates():
     for v in range(3, 10):
         graphs = enumerate_unicyclic(v)
-        keys = {canonical_key(g).bytes for g in graphs}
+        keys = {canonical_key(g) for g in graphs}
         assert len(keys) == len(graphs)
         assert all(g.n == v and g.n_edges == v for g in graphs)
 
@@ -209,8 +209,8 @@ def test_structured_seed_invariance():
 
 
 def test_exhaustive_all_graphs_6(monkeypatch):
-    # rejected keys are kept per chunk, so a serial scan must stay a single
-    # chunk, and it must start no worker process
+    # the chunks cover every pair of first edges exactly once, and a serial
+    # scan starts no worker process
     from indequiv import classes
 
     chunks = []
@@ -228,7 +228,8 @@ def test_exhaustive_all_graphs_6(monkeypatch):
     report = exhaustive_class_search(6, "all_graphs")
     expected = keys_of(cycle(6), d_graph(6), union(k4_minus_e(), path(2)))
     assert report.member_keys() == expected
-    assert len(chunks) == 1
+    scanned = sorted(pair for _, _, pairs in chunks for pair in pairs)
+    assert scanned == list(combinations(range(15), 2))
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
@@ -432,12 +433,12 @@ def test_census_prefilter_admits_exactly_the_dividing_components():
             poly = _necklace_poly([(t.w0, t.w1) for t in trees])
             if poly_divides(poly, target):
                 g = _necklace_graph(c, trees)
-                unfiltered.add(canonical_key(g).bytes)
+                unfiltered.add(canonical_key(g))
     stats = {
         "components_generated": 0,
         "components_pruned_census": 0,
         "components_pruned_divisor": 0,
     }
     pool = _unicyclic_component_pool(n, target, True, stats)
-    filtered = {canonical_key(comp.graph).bytes for comp in pool}
+    filtered = {canonical_key(comp.graph) for comp in pool}
     assert filtered == unfiltered

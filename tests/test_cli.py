@@ -102,6 +102,8 @@ GOLDEN = Path(__file__).parent / "golden"
     (("class", "9"), "class_9.json"),
     (("class", "15"), "class_15.json"),
     (("unicyclic", "7"), "unicyclic_7.json"),
+    (("class", "7", "--mode", "all-graphs", "--threads", "2"),
+     "class_7_all_graphs.json"),
 ])
 def test_json_output_matches_golden_bytes(capsys, argv, name):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from indequiv.factors import (
-    check_roots,
+    ROOT_TOLERANCE,
     cyclotomic_poly,
     divisors,
     euler_phi,
@@ -11,6 +11,7 @@ from indequiv.factors import (
     f_poly_by_transform,
     factorize_cycle_poly,
     min_poly_2cos,
+    root_residual,
     root_values,
 )
 from indequiv.intpoly import (
@@ -85,14 +86,13 @@ def test_routes_agree_smoke(n):
 
 def test_factorize_cycle_poly():
     fs = factorize_cycle_poly(15)
-    assert sorted(fs.factors) == [3, 5, 15]
-    assert fs.product() == cycle_poly(15)
-    fs3 = factorize_cycle_poly(3)
-    assert sorted(fs3.factors) == [3]
-    assert fs3.factors[3] == IntPoly([1, 3])
+    assert list(fs) == [3, 5, 15]
+    assert fs[3] * fs[5] * fs[15] == cycle_poly(15)
+    assert factorize_cycle_poly(3) == {3: IntPoly([1, 3])}
     fs9 = factorize_cycle_poly(9, route="transform")
-    assert sorted(fs9.factors) == [3, 9]
-    assert fs9.route == "transform"
+    assert fs9 == factorize_cycle_poly(9) == {
+        3: IntPoly([1, 3]), 9: IntPoly([1, 6, 9, 3])
+    }
     with pytest.raises(ValueError):
         factorize_cycle_poly(8)
     with pytest.raises(ValueError):
@@ -105,33 +105,33 @@ def test_factor_polys_are_unicyclic():
 
 
 def test_root_values():
-    spec = root_values(3)
-    assert len(spec.roots) == 1
-    i, c, tag = spec.roots[0]
+    roots = root_values(3)
+    assert len(roots) == 1
+    i, c, tag = roots[0]
     assert (i, tag) == (1, 1)
     assert c == pytest.approx(-1 / 3)
-    spec9 = root_values(9)
-    assert len(spec9.roots) == 4
-    assert all(c < 0 for _, c, _ in spec9.roots)
-    assert [tag for _, _, tag in spec9.roots] == [1, 3, 1, 1]
+    roots9 = root_values(9)
+    assert len(roots9) == 4
+    assert all(c < 0 for _, c, _ in roots9)
+    assert [tag for _, _, tag in roots9] == [1, 3, 1, 1]
 
 
-def test_check_roots():
+def test_root_residual():
     f9 = f_poly_by_division(9)
-    spec9 = root_values(9)
-    full = check_roots(cycle_poly(9), spec9, which="all")
-    assert full.ok and full.max_residual < 1e-9
-    own = check_roots(f9, spec9, which="coprime")
-    assert own.ok
+    assert root_residual(cycle_poly(9), 9) < ROOT_TOLERANCE
+    assert root_residual(f9, 9, 9) < ROOT_TOLERANCE
     # the root with gcd tag 3 belongs to f_3, not f_9
-    c2 = spec9.roots[1][1]
+    c2 = root_values(9)[1][1]
     assert abs(eval_float(f9, c2)) > 1e-6
     f3_at_c2 = eval_float(IntPoly([1, 3]), c2)
     assert abs(f3_at_c2) < 1e-12
-    sub = check_roots(IntPoly([1, 3]), spec9, which=3)
-    assert sub.ok and len(sub.residuals) == 1
-    with pytest.raises(ValueError):
-        check_roots(f9, spec9, which=4)
+    assert root_residual(IntPoly([1, 3]), 9, 3) < ROOT_TOLERANCE
+    # f_9 is not zero at f_3's root, nor f_3 at f_9's
+    assert root_residual(f9, 9) > 1e-6
+    assert root_residual(IntPoly([1, 3]), 9, 9) > 1e-6
+    for m in (4, 0, -3):  # -3 would select no root and read 0.0
+        with pytest.raises(ValueError):
+            root_residual(f9, 9, m)
 
 
 def test_divisibility_corollary_small():

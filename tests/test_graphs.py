@@ -9,9 +9,7 @@ from indequiv.canon import (
 )
 from indequiv.graph6 import (
     Graph6Error,
-    emit_edge_list,
     emit_graph6,
-    parse_edge_list,
     parse_graph6,
 )
 from indequiv.graphs import (
@@ -294,16 +292,6 @@ def test_graph6_short_size_field_unchanged():
         parse_graph6("~??}")    # four-byte field for n = 62
     with pytest.raises(Graph6Error):
         parse_graph6("~~??????")  # eight-byte field, n > 258047
-
-
-def test_edge_list_format():
-    g = union(cycle(3), path(2))
-    assert emit_edge_list(g) == "5; 0-1, 0-2, 1-2, 3-4"
-    back = parse_edge_list(emit_edge_list(g))
-    assert back == g
-    assert parse_edge_list("3;") == Graph(3)
-    with pytest.raises(ValueError):
-        parse_edge_list("x; 0-1")
 
 
 def test_canonical_key_separates_strongly_regular_pair():
