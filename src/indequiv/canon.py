@@ -115,12 +115,9 @@ def canonical_key(g: Graph) -> bytes:
     return header + b"".join(parts)
 
 
-def canonical_graph(g: Graph) -> Graph:
-    """A canonically labelled representative of g's isomorphism class.
-
-    Two isomorphic graphs yield identical (labelled) results, so this is the
-    stable form for serialization.
-    """
+def canonical_form(g: Graph) -> tuple[bytes, Graph]:
+    """(canonical_key(g), canonical_graph(g)) from one canonical labelling
+    of each component."""
     comps = []
     for vs in component_vertex_sets(g):
         sub = g.subgraph(vs)
@@ -130,7 +127,18 @@ def canonical_graph(g: Graph) -> Graph:
             inverse[v] = pos
         comps.append((key, sub.relabel(inverse)))
     comps.sort(key=lambda kg: kg[0])
-    return union(*(cg for _, cg in comps))
+    header = g.n.to_bytes(2, "big") + len(comps).to_bytes(2, "big")
+    key = header + b"".join(k for k, _ in comps)
+    return key, union(*(cg for _, cg in comps))
+
+
+def canonical_graph(g: Graph) -> Graph:
+    """A canonically labelled representative of g's isomorphism class.
+
+    Two isomorphic graphs yield identical (labelled) results, so this is the
+    stable form for serialization.
+    """
+    return canonical_form(g)[1]
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -15,11 +15,15 @@ Two independent computations of the class are provided:
   coefficient before computing full polynomials.  Mode
   ``unicyclic_multisets`` scans multisets of connected unicyclic graphs,
   pruning components whose polynomial does not divide the target exactly.
+  Component polynomials are swept and multiplied packed into ints
+  (``intpoly.pack``); a component's graph is built only when its multiset
+  matches the target, and ``indpoly`` of the union then confirms it.
 
 The two must agree; the test suite enforces it.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -32,7 +36,7 @@ from typing import Iterator, Optional
 from .canon import (
     MAX_COMPONENT_VERTICES,
     CanonicalRefusalError,
-    canonical_graph,
+    canonical_form,
     canonical_key,
 )
 from .census import subgraph_census
@@ -48,7 +52,15 @@ from .graphs import (
 )
 from .gspec import parse_spec
 from .indpoly import PolyCache, indpoly, indpoly_bruteforce
-from .intpoly import ONE, IntPoly, cycle_poly, poly_divides, poly_exact_div
+from .intpoly import (
+    ONE,
+    IntPoly,
+    cycle_poly,
+    pack,
+    poly_divides,
+    poly_exact_div,
+    unpack,
+)
 
 MAX_ALL_GRAPHS_N = 9
 MAX_UNICYCLIC_N = 21
@@ -237,10 +249,11 @@ def _distances(g: Graph, source: int) -> list[int]:
 
 
 def _make_member(g: Graph, n: int, poly: IntPoly) -> ClassMember:
+    key, labelled = canonical_form(g)
     return ClassMember(
-        key=canonical_key(g),
+        key=key,
         description=describe_graph(g),
-        graph6=emit_graph6(canonical_graph(g)),
+        graph6=emit_graph6(labelled),
         poly=poly,
         checks=structural_checks(g, n),
     )
@@ -476,13 +489,13 @@ def _dihedral_minimal(seq: tuple) -> bool:
     return True
 
 
-def _necklace_poly(pairs: list[tuple[IntPoly, IntPoly]]) -> IntPoly:
+def _necklace_poly(pairs: list[tuple[int, int]]) -> int:
     """Independence polynomial of a cycle of rooted trees, by a two-state
-    sweep (root of each tree in or out of the independent set)."""
-    zero = IntPoly()
+    sweep (root of each tree in or out of the independent set), on the
+    trees' (w0, w1) packed by `intpoly.pack`; the result is packed alike."""
     w00, w10 = pairs[0]
-    a, b = w00, zero        # first root excluded
-    a2, b2 = zero, w10      # first root included
+    a, b = w00, 0           # first root excluded
+    a2, b2 = 0, w10         # first root included
     for w0, w1 in pairs[1:]:
         a, b = (a + b) * w0, a * w1
         a2, b2 = (a2 + b2) * w0, a2 * w1
@@ -524,6 +537,9 @@ def unicyclic_necklaces(
                 return
             for s in range(1, rem + 2):
                 for t in pools[s]:
+                    # a dihedral-minimal sequence starts with its least shape
+                    if pos and t.shape < chosen[0].shape:
+                        continue
                     w = weight + t.attach_weight
                     if attach_budget is not None and w > attach_budget:
                         continue
@@ -544,8 +560,14 @@ def enumerate_unicyclic(v: int) -> list[Graph]:
 
 @dataclass(frozen=True)
 class _Component:
-    graph: Graph
-    poly: IntPoly
+    """A pool entry: a necklace (cycle length, rooted trees) on `size`
+    vertices and its polynomial, packed in (n+1)-bit slots for the unpruned
+    scan, which only multiplies, and unpacked for the pruned one, which
+    divides."""
+
+    cycle: int
+    trees: tuple[RootedTree, ...]
+    poly: IntPoly | int
     size: int
 
 
@@ -581,6 +603,14 @@ def _unicyclic_component_pool(
     """Candidate connected components for members of the class of C_n,
     largest sizes first."""
     pool: list[_Component] = []
+    bits = n + 1
+    packed: dict[RootedTree, tuple[int, int]] = {}
+
+    def packed_pair(t: RootedTree) -> tuple[int, int]:
+        if t not in packed:
+            packed[t] = (pack(t.w0, bits), pack(t.w1, bits))
+        return packed[t]
+
     if prune:
         classes = _component_weight_classes(n)
         sizes = sorted(classes, reverse=True)
@@ -601,11 +631,13 @@ def _unicyclic_component_pool(
                 if wt not in weights:
                     stats["components_pruned_census"] += 1
                     continue
-            poly = _necklace_poly([(t.w0, t.w1) for t in trees])
-            if prune and not poly_divides(poly, target):
-                stats["components_pruned_divisor"] += 1
-                continue
-            pool.append(_Component(_necklace_graph(c, trees), poly, v))
+            poly = _necklace_poly([packed_pair(t) for t in trees])
+            if prune:
+                poly = unpack(poly, bits)
+                if not poly_divides(poly, target):
+                    stats["components_pruned_divisor"] += 1
+                    continue
+            pool.append(_Component(c, trees, poly, v))
     stats["components_admitted"] = len(pool)
     return pool
 
@@ -621,27 +653,32 @@ def _exhaustive_unicyclic(n: int, cache: PolyCache, prune: bool,
     members: dict[bytes, ClassMember] = {}
 
     def accept(chosen: list[_Component]):
-        g = union(*(comp.graph for comp in chosen))
+        g = union(*(_necklace_graph(comp.cycle, comp.trees) for comp in chosen))
         stats["polynomial_tests"] = stats.get("polynomial_tests", 0) + 1
         if indpoly(g, cache) == target:
             member = _make_member(g, n, target)
             members.setdefault(member.key, member)
 
     # pruned: divide the target down to ONE, skipping components that do
-    # not divide it; unpruned: multiply up from ONE and compare at the end
-    start, goal = (target, ONE) if prune else (ONE, target)
+    # not divide it; unpruned: multiply packed polynomials up from 1 and
+    # compare with the packed target at the end
+    start, goal = (target, ONE) if prune else (1, pack(target, n + 1))
+    # the pool runs from large components to small: fits[r] is the first
+    # entry on at most r vertices, so no level walks past the larger ones
+    fits = [bisect.bisect_left(pool, -r, key=lambda comp: -comp.size)
+            for r in range(n + 1)]
 
-    def descend(idx: int, remaining: int, acc: IntPoly,
+    def descend(idx: int, remaining: int, acc: IntPoly | int,
                 chosen: list[_Component]):
         if remaining == 0:
             stats["multisets_tested"] += 1
             if acc == goal:
                 accept(chosen)
             return
-        for k in range(idx, len(pool)):
+        for k in range(max(idx, fits[remaining]), len(pool)):
             comp = pool[k]
             left = remaining - comp.size
-            if left < 0 or left == 1 or left == 2:
+            if left == 1 or left == 2:
                 continue
             if not prune:
                 nxt = acc * comp.poly

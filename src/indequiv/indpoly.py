@@ -8,22 +8,23 @@ oracle) and a vertex-deletion recursion (the fast path).  The recursion uses
 over vertex bitmasks of the input graph.  Each mask is split into connected
 components by bitmask search, a component pivots on a maximum-degree vertex
 (ties broken by the smallest label), and component polynomials are memoised
-by their labelled vertex mask for the duration of one top-level call.  No
-graphs are built and no canonical labelling is involved.  The recursion runs
-on an explicit stack, so a long path-like component cannot exhaust Python's
-recursion limit.
+by their labelled vertex mask for the duration of one top-level call.  The
+memo holds each polynomial packed into one int (`intpoly.pack`, one
+(n+1)-bit slot per coefficient for an n-vertex input), so a product is one
+integer product and x·I a shift; the result is unpacked once, on return.
+No graphs are built and no canonical labelling is involved.  The recursion
+runs on an explicit stack, so a long path-like component cannot exhaust
+Python's recursion limit.
 """
 from __future__ import annotations
 
 from typing import Optional
 
 from .graphs import Graph, delete_edge_closure
-from .intpoly import ONE, IntPoly, X
+from .intpoly import IntPoly, X, unpack
 
 #: Largest graph the brute force accepts: its DP table has 2^n entries.
 BRUTE_FORCE_MAX_VERTICES = 22
-
-_K1 = IntPoly([1, 1])  # I(K_1, x)
 
 
 def indpoly_bruteforce(g: Graph) -> IntPoly:
@@ -71,9 +72,11 @@ class PolyCache:
 
 def indpoly(g: Graph, cache: Optional[PolyCache] = None) -> IntPoly:
     """Exact I(G, x) via component splitting and memoized deletion recursion."""
+    bits = g.n + 1
+    k1 = 1 << bits | 1  # I(K_1, x), packed
     adj = g.adjacency_masks()
     parts = _components((1 << g.n) - 1, adj)
-    memo: dict[int, IntPoly] = {}
+    memo: dict[int, int] = {}
     # component -> its pivot's (G - v, G - N[v]) components, while those
     # are still being computed further up the stack
     pending: dict[int, tuple[list[int], list[int]]] = {}
@@ -98,12 +101,13 @@ def indpoly(g: Graph, cache: Optional[PolyCache] = None) -> IntPoly:
         else:
             stack.pop()
             without, closed = split
-            memo[comp] = _product(without, memo) + _product(closed, memo).shift(1)
+            memo[comp] = (_product(without, memo, k1)
+                          + (_product(closed, memo, k1) << bits))
     if cache is not None:
         cache.hits += hits
         cache.misses += len(memo)
         cache.entries += len(memo)
-    return _product(parts, memo)
+    return unpack(_product(parts, memo, k1), bits)
 
 
 def _components(mask: int, adj: tuple[int, ...]) -> list[int]:
@@ -139,12 +143,12 @@ def _pivot(comp: int, adj: tuple[int, ...]) -> int:
     return pivot
 
 
-def _product(comps: list[int], memo: dict[int, IntPoly]) -> IntPoly:
-    out = None
+def _product(comps: list[int], memo: dict[int, int], k1: int) -> int:
+    """Packed product of the component polynomials (k1 for a lone vertex)."""
+    out = 1
     for c in comps:
-        poly = memo[c] if c & (c - 1) else _K1
-        out = poly if out is None else out * poly
-    return ONE if out is None else out
+        out *= memo[c] if c & (c - 1) else k1
+    return out
 
 
 def indpoly_edge_rule_check(g: Graph, e: tuple[int, int],

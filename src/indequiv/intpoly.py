@@ -127,6 +127,40 @@ ONE = IntPoly([1])
 X = IntPoly([0, 1])
 
 
+def pack(p: IntPoly, bits: int) -> int:
+    """p(2^bits): the coefficients of p in consecutive `bits`-wide slots of
+    one int, lowest degree in the lowest slot (Kronecker substitution).
+
+    Sums, products and shifts (`<< bits` is x·p) of packed values equal the
+    packed sums, products and shifts of the polynomials, exactly, as long as
+    every coefficient of every operand and result lies in [0, 2^bits).  The
+    coefficients of an independence polynomial on at most n vertices, or of
+    a product of such polynomials on n vertices in all, count subsets of
+    those n vertices, so they lie in [0, 2^n]: slots of n + 1 bits are exact
+    for every such intermediate.  Outside that range a carry crosses a slot
+    boundary silently, so pack refuses a coefficient that does not fit.
+    """
+    v = 0
+    for c in reversed(p.coeffs):
+        if c < 0 or c >> bits:
+            raise ValueError(f"coefficient {c} does not fit a {bits}-bit slot")
+        v = v << bits | c
+    return v
+
+
+def unpack(v: int, bits: int) -> IntPoly:
+    """The polynomial whose coefficients fill the `bits`-wide slots of v;
+    the inverse of pack, under the same bound."""
+    if v < 0:
+        raise ValueError("a packed polynomial is never negative")
+    mask = (1 << bits) - 1
+    coeffs = []
+    while v:
+        coeffs.append(v & mask)
+        v >>= bits
+    return IntPoly(coeffs)
+
+
 def poly_exact_div(p: IntPoly, q: IntPoly) -> IntPoly:
     """Divide p by q, requiring the quotient to be exact over the integers.
 

@@ -31,7 +31,7 @@ from indequiv.graphs import (
 from indequiv.graph6 import parse_graph6
 from indequiv.gspec import parse_spec
 from indequiv.indpoly import PolyCache, independence_number, indpoly
-from indequiv.intpoly import cycle_poly
+from indequiv.intpoly import cycle_poly, pack, unpack
 
 from conftest import naive_independent_counts
 
@@ -139,12 +139,30 @@ def test_enumerate_unicyclic_bounds():
         enumerate_unicyclic(22)
 
 
+def packed_necklace_poly(trees, bits):
+    """The necklace sweep on packed tree weights, unpacked."""
+    pairs = [(pack(t.w0, bits), pack(t.w1, bits)) for t in trees]
+    return unpack(_necklace_poly(pairs), bits)
+
+
 def test_necklace_poly_matches_bruteforce():
     for v in range(3, 9):
         for c, trees in unicyclic_necklaces(v):
             g = _necklace_graph(c, trees)
-            dp = _necklace_poly([(t.w0, t.w1) for t in trees])
+            dp = packed_necklace_poly(trees, v + 1)
             assert list(dp.coeffs) == naive_independent_counts(g)
+
+
+# OEIS A001429: connected unicyclic graphs on v nodes, v = 3, 4, ...
+A001429 = (1, 2, 5, 13, 33, 89, 240, 657, 1806, 5026, 13999, 39260, 110381)
+
+
+@pytest.mark.parametrize("v", [
+    pytest.param(v, marks=pytest.mark.slow) if v == 15 else v
+    for v in range(3, 16)
+])
+def test_necklace_counts_match_oeis(v):
+    assert sum(1 for _ in unicyclic_necklaces(v)) == A001429[v - 3]
 
 
 # --- class searches -----------------------------------------------------------
@@ -430,7 +448,7 @@ def test_census_prefilter_admits_exactly_the_dividing_components():
     unfiltered = set()
     for v in range(3, n + 1):
         for c, trees in unicyclic_necklaces(v):
-            poly = _necklace_poly([(t.w0, t.w1) for t in trees])
+            poly = packed_necklace_poly(trees, n + 1)
             if poly_divides(poly, target):
                 g = _necklace_graph(c, trees)
                 unfiltered.add(canonical_key(g))
@@ -440,5 +458,7 @@ def test_census_prefilter_admits_exactly_the_dividing_components():
         "components_pruned_divisor": 0,
     }
     pool = _unicyclic_component_pool(n, target, True, stats)
-    filtered = {canonical_key(comp.graph) for comp in pool}
+    filtered = {
+        canonical_key(_necklace_graph(comp.cycle, comp.trees)) for comp in pool
+    }
     assert filtered == unfiltered

@@ -104,6 +104,7 @@ GOLDEN = Path(__file__).parent / "golden"
     (("unicyclic", "7"), "unicyclic_7.json"),
     (("class", "7", "--mode", "all-graphs", "--threads", "2"),
      "class_7_all_graphs.json"),
+    (("class", "21", "--mode", "unicyclic"), "class_21_unicyclic.json"),
 ])
 def test_json_output_matches_golden_bytes(capsys, argv, name):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")

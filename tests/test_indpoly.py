@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -181,6 +183,14 @@ def test_deep_components_do_not_exhaust_the_recursion_limit():
     assert indpoly(cycle(70)) == cycle_poly(70)
     assert indpoly(d_graph(70)) == cycle_poly(70)
     assert indpoly(cycle(400)) == cycle_poly(400)
+
+
+def test_edgeless_graph_fills_the_packed_slots():
+    # (1 + x)^n has the largest coefficients, C(n, n//2), an n-vertex
+    # polynomial can have: the widest a memo slot of n + 1 bits must hold
+    for n in range(65):
+        want = IntPoly(math.comb(n, k) for k in range(n + 1))
+        assert indpoly(Graph(n, [])) == want
 
 
 @st.composite

@@ -9,10 +9,12 @@ from indequiv.intpoly import (
     cycle_poly,
     eval_float,
     is_unicyclic_poly,
+    pack,
     path_coeff,
     path_poly,
     poly_exact_div,
     primitive_part,
+    unpack,
 )
 from indequiv.graphs import cycle, path
 
@@ -108,6 +110,29 @@ def test_multiply_then_divide_round_trips(a, b):
     if q.is_zero():
         return
     assert poly_exact_div(p * q, q) == p
+
+
+@given(st.lists(st.integers(0, 2**20), max_size=8),
+       st.lists(st.integers(0, 2**20), max_size=8))
+def test_pack_round_trips_and_keeps_ring_operations(a, b):
+    # coefficients below 2^20 and at most 8 terms: every coefficient of the
+    # product is below 8 * 2^40 < 2^44, inside a 44-bit slot
+    p, q = IntPoly(a), IntPoly(b)
+    bits = 44
+    assert unpack(pack(p, bits), bits) == p
+    assert unpack(pack(p, bits) * pack(q, bits), bits) == p * q
+    assert unpack(pack(p, bits) + pack(q, bits), bits) == p + q
+    assert unpack(pack(p, bits) << bits, bits) == p.shift(1)
+
+
+def test_pack_refuses_what_a_slot_cannot_hold():
+    assert pack(IntPoly([1, 7, 0, 7]), 3) == 1 | 7 << 3 | 7 << 9
+    with pytest.raises(ValueError):
+        pack(IntPoly([1, 8]), 3)
+    with pytest.raises(ValueError):
+        pack(IntPoly([1, -1]), 3)
+    with pytest.raises(ValueError):
+        unpack(-1, 3)
 
 
 def test_unicyclic_closure_on_cycle_polys():
