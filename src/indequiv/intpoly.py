@@ -151,8 +151,8 @@ def pack(p: IntPoly, bits: int) -> int:
 def unpack(v: int, bits: int) -> IntPoly:
     """The polynomial whose coefficients fill the `bits`-wide slots of v;
     the inverse of pack, under the same bound."""
-    if v < 0:
-        raise ValueError("a packed polynomial is never negative")
+    if v < 0 or bits < 1:
+        raise ValueError(f"cannot unpack {v} from {bits}-bit slots")
     mask = (1 << bits) - 1
     coeffs = []
     while v:

@@ -133,6 +133,8 @@ def test_pack_refuses_what_a_slot_cannot_hold():
         pack(IntPoly([1, -1]), 3)
     with pytest.raises(ValueError):
         unpack(-1, 3)
+    with pytest.raises(ValueError):
+        unpack(1, 0)
 
 
 def test_unicyclic_closure_on_cycle_polys():
