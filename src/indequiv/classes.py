@@ -10,9 +10,12 @@ Two independent computations of the class are provided:
   rather than eliminated by hand.
 
 * ``exhaustive_class_search`` knows nothing of that narrowing.  Mode
-  ``all_graphs`` scans every n-vertex, n-edge graph (the linear and
-  quadratic coefficients force those counts), pruning on the cubic
-  coefficient before computing full polynomials.  Mode
+  ``all_graphs`` generates the n-vertex graphs level by level, one edge
+  more per level and one representative per isomorphism class (deduplicated
+  by canonical key), keeping only classes whose cubic-coefficient statistic
+  is still within the target's; the n-edge classes (the linear and quadratic
+  coefficients force those counts) are filtered on the quartic coefficient
+  and brute-forced, never through the ``indpoly`` recursion.  Mode
   ``unicyclic_multisets`` scans multisets of connected unicyclic graphs,
   pruning components whose polynomial does not divide the target exactly.
   Component polynomials are swept and multiplied packed into ints
@@ -28,7 +31,6 @@ import itertools
 import math
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -62,7 +64,7 @@ from .intpoly import (
     unpack,
 )
 
-MAX_ALL_GRAPHS_N = 9
+MAX_ALL_GRAPHS_N = 13
 MAX_UNICYCLIC_N = 21
 
 # --- structural identities -------------------------------------------------
@@ -723,111 +725,77 @@ def _count_independent_quads(adj: list[int], n: int, limit: int) -> int:
     return count
 
 
-def _scan_pairs(n: int, target_coeffs: tuple[int, ...],
-                pairs: list[tuple[int, int]]):
-    """Depth-first scan of all n-edge graphs on n labelled vertices whose
-    first two chosen edges (in lexicographic order) form one of `pairs`.
+def _graph_levels(
+    n: int, s_bound: Optional[int] = None
+) -> Iterator[dict[bytes, tuple[Graph, int]]]:
+    """Graphs on n vertices by edge count, one labelled representative per
+    isomorphism class.  Level m maps the canonical key of each m-edge class
+    to (representative, S), with S = sum C(deg,2) - triangles, and holds
+    only classes with S <= s_bound when a bound is given.
 
-    Prunes on the cubic-coefficient statistic S = sum C(deg,2) - triangles,
-    which never decreases as edges are added, then filters leaves on the
-    quartic coefficient.  Returns the scan counts and, per canonical key
-    of a leaf that passes, [first labelled edge list, labelled copies].
+    Level m + 1 adds each non-edge to each representative of level m.
+    Adding an edge never lowers S, so every edge-deleted subgraph of a
+    class within the bound is, up to isomorphism, a representative one
+    level down: the levels miss no class.
     """
-    target = IntPoly(target_coeffs)
+    level = {canonical_key(Graph(n)): (Graph(n), 0)}
+    while level:
+        yield level
+        grown: dict[bytes, tuple[Graph, int]] = {}
+        for g, s in level.values():
+            adj = g.adjacency_masks()
+            # twins: non-adjacent vertices with equal neighbourhoods, which
+            # swapping maps onto each other; first[v] is v's least twin
+            first = [adj.index(a) for a in adj]
+            for u, v in itertools.combinations(range(n), 2):
+                if adj[u] >> v & 1:
+                    continue
+                # adding uw for a lesser twin w of v (or wv for one of u)
+                # makes an isomorphic graph
+                if (first[v] < v and first[v] != u) or first[u] < u:
+                    continue
+                # the new edge closes deg u + deg v paths on three
+                # vertices, minus one per triangle it completes
+                s2 = (s + adj[u].bit_count() + adj[v].bit_count()
+                      - (adj[u] & adj[v]).bit_count())
+                if s_bound is not None and s2 > s_bound:
+                    continue
+                h = Graph(n, [*g.edges, (u, v)])
+                grown.setdefault(canonical_key(h), (h, s2))
+        level = grown
+
+
+def _exhaustive_all_graphs(n: int, stats: dict[str, int]) -> list[ClassMember]:
+    """Members among the n-vertex, n-edge graphs (the linear and quadratic
+    coefficients force those counts), generated up to isomorphism under the
+    S bound that the cubic coefficient sets, then filtered on the quartic
+    coefficient and brute-forced once per class."""
+    target = cycle_poly(n)
     s_target = target[3] - math.comb(n, 3) + n * (n - 2)
     i4_target = target[4]
-    edges = list(itertools.combinations(range(n), 2))
-    total = len(edges)
-    adj = [0] * n
-    deg = [0] * n
-    chosen: list[int] = []
-    stats = {"edge_sets_visited": 0, "i3_leaves": 0, "i4_pass": 0}
-    found: dict[bytes, list] = {}
-
-    def leaf():
-        stats["i3_leaves"] += 1
-        if _count_independent_quads(adj, n, i4_target) != i4_target:
-            return
-        stats["i4_pass"] += 1
-        labelled = [edges[i] for i in chosen]
-        found.setdefault(canonical_key(Graph(n, labelled)), [labelled, 0])[1] += 1
-
-    def add(i: int):
-        u, v = edges[i]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        deg[u] += 1
-        deg[v] += 1
-        chosen.append(i)
-
-    def undo():
-        u, v = edges[chosen.pop()]
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        deg[u] -= 1
-        deg[v] -= 1
-
-    def grow(idx: int, count: int, s: int):
-        if count == n:
-            if s == s_target:
-                leaf()
-            return
-        room = n - count
-        for i in range(idx, total - room + 1):
-            u, v = edges[i]
-            stats["edge_sets_visited"] += 1
-            s2 = s + deg[u] + deg[v] - (adj[u] & adj[v]).bit_count()
-            if s2 > s_target:
-                continue
-            add(i)
-            grow(i + 1, count + 1, s2)
-            undo()
-
-    for i, j in pairs:
-        add(i)
-        x, y = edges[j]
-        s2 = deg[x] + deg[y] - (adj[x] & adj[y]).bit_count()
-        if s2 <= s_target:
-            add(j)
-            grow(j + 1, 2, s2)
-            undo()
-        undo()
-    return stats, found
-
-
-def _exhaustive_all_graphs(n: int, threads: int,
-                           stats: dict[str, int]) -> list[ClassMember]:
-    target = cycle_poly(n)
-    pairs = list(itertools.combinations(range(n * (n - 1) // 2), 2))
-    k = 4 * max(threads, 1)
-    scans = (_scan_pairs, itertools.repeat(n), itertools.repeat(target.coeffs),
-             [pairs[i::k] for i in range(k)])
-    if threads <= 1:
-        results = list(map(*scans))
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(*scans))
-    found: dict[bytes, list] = {}
-    for part_stats, part_found in results:
-        for key, v in part_stats.items():
-            stats[key] = stats.get(key, 0) + v
-        for key, (labelled, copies) in part_found.items():
-            found.setdefault(key, [labelled, 0])[1] += copies
-    # each isomorphism class is brute-forced once, whatever the chunking
-    stats["polynomials_computed"] = len(found)
-    stats["labelled_members"] = 0
+    stats.update(classes_generated=0, i3_leaves=0, i4_pass=0)
+    levels = itertools.islice(_graph_levels(n, s_target), n + 1)
+    next(levels)  # level 0, the edgeless graph
+    for level in levels:
+        stats["classes_generated"] += len(level)
     members = []
-    for key in sorted(found):
-        g = Graph(n, found[key][0])
+    for key in sorted(level):
+        g, s = level[key]
+        if s != s_target:
+            continue
+        stats["i3_leaves"] += 1
+        if _count_independent_quads(g.adjacency_masks(), n, i4_target) != i4_target:
+            continue
+        stats["i4_pass"] += 1
         if indpoly_bruteforce(g) == target:
-            stats["labelled_members"] += found[key][1]
             members.append(_make_member(g, n, target))
+    stats["polynomials_computed"] = stats["i4_pass"]
     return members
 
 
 def exhaustive_class_search(n: int, mode: str = "unicyclic_multisets",
                             cache: Optional[PolyCache] = None,
-                            threads: int = 1, prune: bool = True) -> ClassReport:
+                            prune: bool = True) -> ClassReport:
     """The class of C_n by exhaustive search, independent of the structural
     narrowing that drives the structured search."""
     started = time.perf_counter()
@@ -839,7 +807,7 @@ def exhaustive_class_search(n: int, mode: str = "unicyclic_multisets",
             raise ValueError(
                 f"all-graphs scan supports 3 <= n <= {MAX_ALL_GRAPHS_N}, got {n}"
             )
-        members = _exhaustive_all_graphs(n, threads, stats)
+        members = _exhaustive_all_graphs(n, stats)
         mode_name = "exhaustive_all_graphs"
     elif mode == "unicyclic_multisets":
         if not (3 <= n <= MAX_UNICYCLIC_N and n % 2 == 1):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .canon import CanonicalRefusalError, canonical_graph
@@ -49,14 +48,14 @@ def _format_flag(parser: argparse.ArgumentParser):
 
 
 def _worker_count(text: str) -> int:
-    """--threads: at least 1, at most the number of CPUs."""
+    """--threads: an integer of at least 1, accepted and otherwise ignored."""
     try:
         k = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if k < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
-    return min(k, os.cpu_count() or 1)
+    return k
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,8 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_class.add_argument(
         "--threads", type=_worker_count, default=1,
-        help="worker processes for the exhaustive all-graphs scan "
-             "(clamped to the CPU count)",
+        help="no effect: accepted for compatibility, the all-graphs "
+             "search is serial",
     )
     _format_flag(p_class)
 
@@ -199,9 +198,7 @@ def _cmd_class(args, cache: PolyCache) -> int:
     if args.mode == "structured":
         report = structured_class_search(args.n, cache, seed=args.seed)
     elif args.mode == "all-graphs":
-        report = exhaustive_class_search(
-            args.n, "all_graphs", cache, threads=args.threads
-        )
+        report = exhaustive_class_search(args.n, "all_graphs", cache)
     else:
         report = exhaustive_class_search(
             args.n, "unicyclic_multisets", cache, prune=not args.no_prune

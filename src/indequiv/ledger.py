@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .canon import canonical_key
+from .canon import MAX_COMPONENT_VERTICES, canonical_key
 from .classes import exhaustive_class_search, structured_class_search
 from .factors import f_poly_by_division, f_poly_by_transform
 from .graphs import cycle, d_graph, named_graph, k4_minus_e, path, union
@@ -81,6 +81,12 @@ def run_ledger(max_n: int = 45,
     """Recompute the pinned values; max_n bounds the class-list sweep."""
     if max_n < 15:
         raise ValueError("max_n must be at least 15 to cover the known classes")
+    if max_n > MAX_COMPONENT_VERTICES:
+        # the sweep names each class by canonical key, and C_n is a component
+        raise ValueError(
+            f"max_n must be at most {MAX_COMPONENT_VERTICES} "
+            f"(MAX_COMPONENT_VERTICES, the canonical-key limit), got {max_n}"
+        )
     if cache is None:
         cache = PolyCache()
     entries: list[LedgerEntry] = []

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import pytest
@@ -13,6 +14,7 @@ from indequiv.classes import (
     structural_checks,
     structured_class_search,
     unicyclic_necklaces,
+    _graph_levels,
     _necklace_graph,
     _necklace_poly,
 )
@@ -226,28 +228,49 @@ def test_structured_seed_invariance():
         ]
 
 
-def test_exhaustive_all_graphs_6(monkeypatch):
-    # the chunks cover every pair of first edges exactly once, and a serial
-    # scan starts no worker process
-    from indequiv import classes
+def _atlas_level_sizes(n, s_bound=None):
+    """Per edge count, the isomorphism classes of n-vertex graphs in the
+    networkx atlas (every graph on up to 7 vertices), optionally only those
+    with sum C(deg,2) - triangles <= s_bound."""
+    nx = pytest.importorskip("networkx")
+    sizes = [0] * (math.comb(n, 2) + 1)
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() != n:
+            continue
+        s = (sum(math.comb(d, 2) for _, d in h.degree())
+             - sum(nx.triangles(h).values()) // 3)
+        if s_bound is None or s <= s_bound:
+            sizes[h.number_of_edges()] += 1
+    return sizes
 
-    chunks = []
-    scan = classes._scan_pairs
 
-    def spy(*args):
-        chunks.append(args)
-        return scan(*args)
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_graph_levels_match_the_atlas(n):
+    # with no bound the levels are every graph on n vertices, one per
+    # isomorphism class, which also checks canon on all of them
+    sizes = [len(level) for level in _graph_levels(n)]
+    assert sizes == _atlas_level_sizes(n)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a serial scan started a worker pool")
 
-    monkeypatch.setattr(classes, "_scan_pairs", spy)
-    monkeypatch.setattr(classes, "ProcessPoolExecutor", no_pool)
+def test_exhaustive_all_graphs_6():
     report = exhaustive_class_search(6, "all_graphs")
     expected = keys_of(cycle(6), d_graph(6), union(k4_minus_e(), path(2)))
     assert report.member_keys() == expected
-    scanned = sorted(pair for _, _, pairs in chunks for pair in pairs)
-    assert scanned == list(combinations(range(15), 2))
+    # the levels kept under the cubic-coefficient bound, against the atlas
+    target = cycle_poly(6)
+    s_target = target[3] - math.comb(6, 3) + 6 * 4
+    sizes = [len(level) for level in _graph_levels(6, s_target)]
+    atlas = _atlas_level_sizes(6, s_target)
+    assert sizes == atlas[:len(sizes)] and not any(atlas[len(sizes):])
+    assert report.stats["classes_generated"] == sum(sizes[1:7])
+
+
+@pytest.mark.slow
+def test_all_graphs_oracle_matches_structured_at_13():
+    oracle = exhaustive_class_search(13, "all_graphs")
+    assert oracle.member_keys() == structured_class_search(13).member_keys()
+    assert oracle.stats == {"classes_generated": 7552, "i3_leaves": 116,
+                            "i4_pass": 42, "polynomials_computed": 42}
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
@@ -267,7 +290,7 @@ def test_divisor_pruning_changes_stats_not_members():
 
 def test_exhaustive_guards():
     with pytest.raises(ValueError):
-        exhaustive_class_search(10, "all_graphs")
+        exhaustive_class_search(14, "all_graphs")
     with pytest.raises(ValueError):
         exhaustive_class_search(23, "unicyclic_multisets")
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,14 @@ def test_verify_paper_small(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_paper_beyond_the_canonical_limit_is_refused_up_front(capsys):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify-paper", "--max-n", "65")
+    assert time.perf_counter() - started < 0.5
+    assert code == 1 and out == ""
+    assert "MAX_COMPONENT_VERTICES" in err and "64" in err
+
+
 def test_verify_paper_failure_exit_code(capsys, monkeypatch):
     from indequiv import cli as cli_module
     from indequiv.ledger import LedgerEntry
@@ -240,27 +249,6 @@ def test_threads_and_seed_only_where_they_act(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
-
-
-def test_threads_clamped_to_cpu_count(capsys, monkeypatch):
-    # a fake stands in for the scan, so no worker process is ever started
-    from indequiv import cli as cli_module
-    from indequiv.classes import ClassReport
-
-    seen = []
-
-    def fake_search(n, mode, cache=None, threads=1, prune=True):
-        seen.append(threads)
-        return ClassReport(n=n, mode=mode, members=[], stats={}, wall_time=0.0)
-
-    monkeypatch.setattr(cli_module, "exhaustive_class_search", fake_search)
-    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 3)
-    for k in ("1", "3", "10000"):
-        run_cli(capsys, "class", "9", "--mode", "all-graphs", "--threads", k)
-    assert seen == [1, 3, 3]
-    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: None)
-    run_cli(capsys, "class", "9", "--mode", "all-graphs", "--threads", "8")
-    assert seen[-1] == 1
 
 
 def test_ledger_entries_pass_quickly():
