@@ -17,6 +17,7 @@ from indequiv.classes import (
     _graph_levels,
     _necklace_graph,
     _necklace_poly,
+    _rooted_trees,
 )
 from indequiv.graphs import (
     Graph,
@@ -137,8 +138,8 @@ def test_enumerate_unicyclic_no_duplicates():
 def test_enumerate_unicyclic_bounds():
     with pytest.raises(ValueError):
         enumerate_unicyclic(2)
-    with pytest.raises(ValueError):
-        enumerate_unicyclic(22)
+    with pytest.raises(ValueError, match="MAX_UNICYCLIC_LIST_V"):
+        enumerate_unicyclic(16)
 
 
 def packed_necklace_poly(trees, bits):
@@ -156,15 +157,62 @@ def test_necklace_poly_matches_bruteforce():
 
 
 # OEIS A001429: connected unicyclic graphs on v nodes, v = 3, 4, ...
-A001429 = (1, 2, 5, 13, 33, 89, 240, 657, 1806, 5026, 13999, 39260, 110381)
+A001429 = (1, 2, 5, 13, 33, 89, 240, 657, 1806, 5026, 13999, 39260, 110381,
+           311465)
 
 
 @pytest.mark.parametrize("v", [
-    pytest.param(v, marks=pytest.mark.slow) if v == 15 else v
-    for v in range(3, 16)
+    pytest.param(v, marks=pytest.mark.slow) if v == 16 else v
+    for v in range(3, 17)
 ])
 def test_necklace_counts_match_oeis(v):
     assert sum(1 for _ in unicyclic_necklaces(v)) == A001429[v - 3]
+
+
+def _dihedral_minimal(seq: tuple) -> bool:
+    """True iff seq is minimal among its rotations and reflections."""
+    c = len(seq)
+    doubled = seq + seq
+    rev = seq[::-1]
+    rev_doubled = rev + rev
+    for k in range(c):
+        if doubled[k:k + c] < seq or rev_doubled[k:k + c] < seq:
+            return False
+    return True
+
+
+def filtered_necklaces(v, budget):
+    """Every sequence of rooted trees with v vertices in all, on every cycle
+    length, in nested order (position 0 first; per position, sizes
+    ascending, then shapes), kept iff its shapes are dihedral-minimal and
+    its branch weight is within budget."""
+    cap = math.inf if budget is None else budget
+    pools = {s: [t for t in _rooted_trees(s, budget) if t.attach_weight <= cap]
+             for s in range(1, v - 1)}
+    out = []
+
+    def sequences(pos, c, rem, chosen):
+        if pos == c:
+            if rem == 0:
+                yield chosen
+            return
+        for s in range(1, rem + 2):
+            for t in pools[s]:
+                yield from sequences(pos + 1, c, rem - (s - 1), chosen + (t,))
+
+    for c in range(3, v + 1):
+        for trees in sequences(0, c, v - c, ()):
+            if (sum(t.attach_weight for t in trees) <= cap
+                    and _dihedral_minimal(tuple(t.shape for t in trees))):
+                out.append((c, trees))
+    return out
+
+
+@pytest.mark.parametrize("budget", [None, 0, 1, 3])
+def test_necklaces_equal_the_leaf_filter_in_order(budget):
+    for v in range(3, 11):
+        assert list(unicyclic_necklaces(v, attach_budget=budget)) == \
+            filtered_necklaces(v, budget)
 
 
 # --- class searches -----------------------------------------------------------

@@ -145,6 +145,14 @@ def test_unicyclic_command(capsys):
     assert len(payload["graphs"]) == 5
 
 
+def test_unicyclic_beyond_the_list_limit_is_refused_up_front(capsys):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "unicyclic", "21")
+    assert time.perf_counter() - started < 0.5
+    assert code == 1 and out == ""
+    assert "MAX_UNICYCLIC_LIST_V" in err and "15" in err
+
+
 def test_poisoned_cache_file_is_never_read(capsys, tmp_path, monkeypatch):
     # a JSON-lines polynomial cache entry for C_9 with its last coefficient
     # set to 10, in the format older versions read from $GRAPHEQ_CACHE
