@@ -13,8 +13,16 @@ memo holds each polynomial packed into one int (`intpoly.pack`, one
 (n+1)-bit slot per coefficient for an n-vertex input), so a product is one
 integer product and x·I a shift; the result is unpacked once, on return.
 No graphs are built and no canonical labelling is involved.  The recursion
-runs on an explicit stack, so a long path-like component cannot exhaust
-Python's recursion limit.
+runs on an explicit stack, so a deep component cannot exhaust Python's
+recursion limit.
+
+A component whose in-mask degrees are all at most 2 is a path or a cycle,
+and it is finished at once instead of being split further.  Its polynomial
+comes from a per-call table of path polynomials filled by the same identity
+applied at an end vertex, I(P_j) = I(P_{j-1}) + x·I(P_{j-2}), and a k-cycle
+is I(P_{k-1}) + x·I(P_{k-3}) by deleting one of its vertices.  The binomial
+closed forms `intpoly.cycle_poly`/`path_poly` are not used, so they stay an
+independent check of this module.
 """
 from __future__ import annotations
 
@@ -77,6 +85,8 @@ def indpoly(g: Graph, cache: Optional[PolyCache] = None) -> IntPoly:
     adj = g.adjacency_masks()
     parts = _components((1 << g.n) - 1, adj)
     memo: dict[int, int] = {}
+    # paths[j] is I(P_j), packed; grown as longer chains turn up
+    paths = [1, k1]
     # component -> its pivot's (G - v, G - N[v]) components, while those
     # are still being computed further up the stack
     pending: dict[int, tuple[list[int], list[int]]] = {}
@@ -90,7 +100,16 @@ def indpoly(g: Graph, cache: Optional[PolyCache] = None) -> IntPoly:
             continue
         split = pending.pop(comp, None)
         if split is None:
-            v = _pivot(comp, adj)
+            v, top, total = _pivot(comp, adj)
+            if top <= 2:
+                # a path or, when every degree is 2, a cycle
+                stack.pop()
+                k = comp.bit_count()
+                while len(paths) <= k:
+                    paths.append(paths[-1] + (paths[-2] << bits))
+                memo[comp] = (paths[k - 1] + (paths[k - 3] << bits)
+                              if total == 2 * k else paths[k])
+                continue
             bit = 1 << v
             split = (
                 _components(comp ^ bit, adj),
@@ -128,19 +147,29 @@ def _components(mask: int, adj: tuple[int, ...]) -> list[int]:
     return comps
 
 
-def _pivot(comp: int, adj: tuple[int, ...]) -> int:
-    """A vertex of maximum degree within comp, the smallest such label."""
+def _pivot(comp: int, adj: tuple[int, ...]) -> tuple[int, int, int]:
+    """A vertex of maximum degree within comp (the smallest such label),
+    that degree, and the sum of all degrees within comp.
+
+    A connected comp of maximum degree at most 2 is a chain: a path, or a
+    cycle when the degree sum is twice its size.  `indpoly` finishes chains
+    from its table of path polynomials, so it asks for no pivot on them.
+    That table comes from the deletion identity at an end vertex, not from
+    the binomial closed forms, which stay an independent check.
+    """
     best = -1
     pivot = 0
+    total = 0
     rest = comp
     while rest:
         low = rest & -rest
         v = low.bit_length() - 1
         d = (adj[v] & comp).bit_count()
+        total += d
         if d > best:
             best, pivot = d, v
         rest ^= low
-    return pivot
+    return pivot, best, total
 
 
 def _product(comps: list[int], memo: dict[int, int], k1: int) -> int:

@@ -170,19 +170,52 @@ def test_pivot_choice_is_irrelevant(rng):
         assert poly_random_pivot(g, rng) == indpoly(g)
 
 
+def ladder(rungs: int) -> Graph:
+    """Two paths of `rungs` vertices joined rung by rung."""
+    n = 2 * rungs
+    return Graph(n, [(2 * i, 2 * i + 1) for i in range(rungs)]
+                 + [(i, i + 2) for i in range(n - 2)])
+
+
+def comb(k: int) -> Graph:
+    """A k-vertex spine 0..k-1 with a pendant leaf k + i on spine vertex i."""
+    return Graph(2 * k, [(i, i + 1) for i in range(k - 1)]
+                 + [(i, k + i) for i in range(k)])
+
+
 def test_cache_stats_track_hits():
+    # a non-chain graph: deleting different pivots leaves equal sub-ladders
     cache = PolyCache()
-    indpoly(cycle(9), cache)
+    indpoly(ladder(8), cache)
     before = cache.hits
-    indpoly(cycle(9), cache)
+    indpoly(ladder(8), cache)
     assert cache.hits > before
 
 
+def test_chain_components_are_single_memo_entries():
+    # a path or cycle is finished where it is found, with no sub-masks
+    for g in (cycle(9), path(9)):
+        cache = PolyCache()
+        indpoly(g, cache)
+        assert cache.stats() == {"hits": 0, "misses": 1, "entries": 1}
+
+
 def test_deep_components_do_not_exhaust_the_recursion_limit():
-    # path-like components recurse about once per vertex
     assert indpoly(cycle(70)) == cycle_poly(70)
     assert indpoly(d_graph(70)) == cycle_poly(70)
     assert indpoly(cycle(400)) == cycle_poly(400)
+    # the comb has no chain leaf until its end: it recurses about once per
+    # spine vertex.  Deleting an end of the spine gives
+    # I(comb_k) = (1+x) I(comb_{k-1}) + x(1+x) I(comb_{k-2})
+    one_plus_x = ONE + X
+    combs = [ONE, ONE + 2 * X]
+    for _ in range(2, 401):
+        combs.append(one_plus_x * combs[-1] + X * one_plus_x * combs[-2])
+    assert indpoly(comb(400)) == combs[400]
+
+
+def test_long_cycle_matches_the_closed_form():
+    assert indpoly(cycle(1000)) == cycle_poly(1000)
 
 
 def test_edgeless_graph_fills_the_packed_slots():
@@ -202,6 +235,36 @@ def labelled_graphs(draw, max_n=14):
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     perm = draw(st.permutations(range(n)))
     return Graph(n, edges), perm
+
+
+@st.composite
+def chain_unions(draw, max_n=16):
+    """Disjoint unions of paths and cycles under a random labelling, with
+    at times one extra edge that gives some vertex degree 3."""
+    pieces = []
+    n = 0
+    for size, closed in draw(st.lists(st.tuples(st.integers(1, 9), st.booleans()),
+                                      min_size=1, max_size=5)):
+        if n + size > max_n:
+            break
+        pieces.append(cycle(size) if closed and size >= 3 else path(size))
+        n += size
+    g = union(*pieces)
+    edges = g.sorted_edges()
+    hubs = [v for v in range(g.n) if g.degree(v) == 2]
+    if hubs and draw(st.booleans()):
+        u = draw(st.sampled_from(hubs))
+        others = [v for v in range(g.n) if v != u and not g.has_edge(u, v)]
+        if others:
+            edges.append((u, draw(st.sampled_from(others))))
+    perm = draw(st.permutations(range(g.n)))
+    return Graph(g.n, edges).relabel(perm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_unions())
+def test_engine_matches_bruteforce_on_chain_unions(g):
+    assert indpoly(g) == indpoly_bruteforce(g)
 
 
 @settings(max_examples=150, deadline=None)
