@@ -7,6 +7,17 @@ heuristic): equal keys hold exactly when the graphs are isomorphic.  Graphs
 whose components exceed the supported size are refused rather than answered
 approximately.
 
+The first level of the search is pruned by automorphisms (McKay & Piperno,
+"Practical graph isomorphism, II", JSC 60, 2014).  When two roots' best
+orderings give equal chunk tuples, mapping one ordering onto the other is an
+automorphism; its cycles are merged into a union-find over the vertices, and
+a later root in the orbit of an explored one is skipped.  The best chunk
+tuple from a root is invariant under automorphisms, so the maximum, the key
+bytes and the canonical graph are those of the unpruned search; only the
+tie-break among orderings with equal chunks, which all give the same
+labelled graph, can differ.  A cycle C_n then costs two or three roots
+instead of n.
+
 Keys of disconnected graphs concatenate the sorted per-component keys.
 """
 from __future__ import annotations
@@ -14,7 +25,7 @@ from __future__ import annotations
 from .graphs import Graph, component_vertex_sets, union
 
 #: Hard per-component size bound; beyond it the search is refused.
-MAX_COMPONENT_VERTICES = 64
+MAX_COMPONENT_VERTICES = 128
 
 #: Guard against pathological search blowup (never reached by the sparse
 #: graphs this package targets).
@@ -23,6 +34,14 @@ _NODE_BUDGET = 2_000_000
 
 class CanonicalRefusalError(ValueError):
     """Canonicalization refused (component too large or search too big)."""
+
+
+def _find(parent: list[int], v: int) -> int:
+    """Union-find root of v, halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
 
 
 def connected_canonical_form(g: Graph) -> tuple[bytes, tuple[int, ...]]:
@@ -48,7 +67,7 @@ def connected_canonical_form(g: Graph) -> tuple[bytes, tuple[int, ...]]:
     # pos[v] = canonical position of an already-placed vertex v
     pos = [0] * n
 
-    def best_suffix(placed: list[int], used: int, i: int):
+    def best_suffix(used: int, i: int):
         """Maximal (chunk tuple, ordering tail) from position i onward."""
         if i == n:
             return (), ()
@@ -85,17 +104,27 @@ def connected_canonical_form(g: Graph) -> tuple[bytes, tuple[int, ...]]:
                 continue
             kept.append(v)
         best = None
+        # First level only: roots whose best orderings give equal chunks
+        # differ by an automorphism, whose cycles join orbits in `orbit`.
+        orbit = list(range(n)) if i == 0 and len(kept) > 1 else None
+        explored: list[int] = []
         for v in kept:
-            placed.append(v)
+            if orbit is not None:
+                root = _find(orbit, v)
+                if any(_find(orbit, u) == root for u in explored):
+                    continue
+                explored.append(v)
             pos[v] = i
-            sub = best_suffix(placed, used | 1 << v, i + 1)
-            placed.pop()
+            sub = best_suffix(used | 1 << v, i + 1)
             cand = ((top,) + sub[0], (v,) + sub[1])
+            if orbit is not None and best is not None and cand[0] == best[0]:
+                for a, b in zip(best[1], cand[1]):
+                    orbit[_find(orbit, a)] = _find(orbit, b)
             if best is None or cand > best:
                 best = cand
         return best
 
-    chunks, order = best_suffix([], 0, 0)
+    chunks, order = best_suffix(0, 0)
     bits = 0
     nbits = 0
     for i in range(1, n):

@@ -136,6 +136,18 @@ def test_criterion_2_classification_classes(structured_reports):
     )
 
 
+@pytest.mark.slow
+def test_criterion_2_classes_beyond_64(shared_cache):
+    # past the old 64-vertex canonical-key cap: odd n up to 99, and n = 127
+    started = time.perf_counter()
+    for n in [*range(65, 100, 2), 127]:
+        report = structured_class_search(n, shared_cache)
+        expected = {canonical_key(cycle(n)), canonical_key(d_graph(n))}
+        assert report.member_keys() == expected, n
+    announce("criterion-2 classification classes 65..99, 127",
+             f"{time.perf_counter() - started:.1f}s")
+
+
 def test_criterion_3_oracle_equivalence(structured_reports, shared_cache):
     started = time.perf_counter()
     report6 = exhaustive_class_search(6, "all_graphs", shared_cache)

@@ -195,9 +195,9 @@ def test_class_beyond_the_canonical_limit_is_refused_before_searching(
         raise AssertionError("the search started")
 
     monkeypatch.setattr(classes, "indpoly", no_search)
-    code, _, err = run_cli(capsys, "class", "65")
+    code, _, err = run_cli(capsys, "class", "129")
     assert code == 1
-    assert "MAX_COMPONENT_VERTICES" in err and "64" in err
+    assert "MAX_COMPONENT_VERTICES" in err and "128" in err
 
 
 def test_verify_paper_small(capsys):
@@ -209,10 +209,10 @@ def test_verify_paper_small(capsys):
 
 def test_verify_paper_beyond_the_canonical_limit_is_refused_up_front(capsys):
     started = time.perf_counter()
-    code, out, err = run_cli(capsys, "verify-paper", "--max-n", "65")
+    code, out, err = run_cli(capsys, "verify-paper", "--max-n", "129")
     assert time.perf_counter() - started < 0.5
     assert code == 1 and out == ""
-    assert "MAX_COMPONENT_VERTICES" in err and "64" in err
+    assert "MAX_COMPONENT_VERTICES" in err and "128" in err
 
 
 def test_verify_paper_failure_exit_code(capsys, monkeypatch):

@@ -233,7 +233,7 @@ def test_canonical_graph_is_stable(rng):
 
 def test_canonical_refusal():
     with pytest.raises(CanonicalRefusalError):
-        canonical_key(cycle(70))
+        canonical_key(cycle(129))
 
 
 def test_families_are_unicyclic():
