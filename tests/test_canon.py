@@ -103,7 +103,7 @@ def _symmetric_corpus(max_n: int) -> list[Graph]:
     graphs = [cycle(n) for n in range(3, max_n + 1)]
     graphs += [d_graph(n) for n in range(4, max_n + 1)]
     graphs += [path(n) for n in range(1, max_n + 1)]
-    graphs += [_circulant(n, (1, k)) for n in range(5, min(max_n, 24) + 1)
+    graphs += [_circulant(n, (1, k)) for n in range(5, min(max_n, 20) + 1)
                for k in range(2, n // 2)]
     graphs += [_complete_bipartite(a, b) for a in range(1, 7) for b in range(a, 7)]
     graphs += [_hypercube(d) for d in range(1, 6) if 1 << d <= max_n]
