@@ -7,7 +7,11 @@ Two independent computations of the class are provided:
   divisor cycles (or their D variants) and at most one component from the
   A/B/E one-cycle families, with parities fixed by the component-count
   equation.  Every parity-admissible candidate is polynomial-tested exactly
-  rather than eliminated by hand.
+  rather than eliminated by hand.  Each of these families becomes paths
+  after one vertex deletion, so the test compares a closed-form polynomial,
+  a few products from one packed table of path polynomials, with I(C_n, x);
+  only a candidate that matches is built as a graph, and ``indpoly`` must
+  confirm it before it becomes a member.
 
 * ``exhaustive_class_search`` knows nothing of that narrowing.  Mode
   ``all_graphs`` generates the n-vertex graphs level by level, one edge
@@ -46,13 +50,17 @@ from .factors import divisors, f_poly_by_division
 from .graph6 import emit_graph6
 from .graphs import (
     Graph,
+    a_graph,
+    b_graph,
     component_vertex_sets,
+    cycle,
+    d_graph,
     degree_histogram,
+    e_graph,
     is_unicyclic,
     max_degree,
     union,
 )
-from .gspec import parse_spec
 from .indpoly import PolyCache, indpoly, indpoly_bruteforce
 from .intpoly import (
     ONE,
@@ -66,6 +74,10 @@ from .intpoly import (
 
 MAX_ALL_GRAPHS_N = 13
 MAX_UNICYCLIC_N = 21
+# the unpruned unicyclic scan holds every component of up to n vertices:
+# n = 17 took 33 s and 479 MB on a 2-core x86-64 machine, and the pool grows
+# about 7.9x per step of 2 in n, so n = 19 and 21 would need tens of GB
+MAX_UNPRUNED_UNICYCLIC_N = 17
 # `unicyclic <v>` labels every graph and holds them in one list: v = 15
 # (110,381 graphs) took 42 s and 374 MB on a 2-core x86-64 machine, and each
 # step of 2 in v multiplies the count by about 2.8
@@ -267,9 +279,83 @@ def _make_member(g: Graph, n: int, poly: IntPoly) -> ClassMember:
 
 # --- structured search ------------------------------------------------------
 
+#: A structured candidate: its components as (family, params) parts, with
+#: family one of C, D, A, B, E.  ("C", (3,)), ("A", (2, 1)) is C_3 + A(2,1).
+Candidate = tuple[tuple[str, tuple[int, ...]], ...]
 
-def _special_family_specs(n: int, kind: str, total: int, r: int) -> Iterator[str]:
-    """The A/B/E specs with the given total of arm vertices whose
+_FAMILY_BUILDERS = {
+    "C": cycle, "D": d_graph, "A": a_graph, "B": b_graph, "E": e_graph,
+}
+
+
+def _candidate_name(candidate: Candidate) -> str:
+    """The graph specification of a candidate, e.g. C3+C5+A(3,1)."""
+    return "+".join(
+        f"{kind}{ps[0]}" if kind in "CD" else f"{kind}({','.join(map(str, ps))})"
+        for kind, ps in candidate
+    )
+
+
+def _candidate_size(candidate: Candidate) -> int:
+    return sum(
+        ps[0] if kind in "CD" else family_vertex_count(kind, ps)
+        for kind, ps in candidate
+    )
+
+
+def _candidate_graph(candidate: Candidate) -> Graph:
+    parts = [_FAMILY_BUILDERS[kind](*ps) for kind, ps in candidate]
+    return parts[0] if len(parts) == 1 else union(*parts)
+
+
+def _path_table(n: int, bits: int) -> list[int]:
+    """p[j] = I(P_j, x) packed in `bits`-wide slots for 0 <= j <= n, by
+    end-vertex deletion p[j] = p[j-1] + x*p[j-2]; the list ends with an
+    extra 1, so that p[-1] reads p_{-1} = 1."""
+    p = [1, 1 << bits | 1]
+    for _ in range(2, n + 1):
+        p.append(p[-1] + (p[-2] << bits))
+    p.append(1)
+    return p
+
+
+def _closed_form(candidate: Candidate, p: list[int], bits: int) -> int:
+    """I(candidate, x), packed alike, from the path table p, by
+    I(G) = I(G - v) + x*I(G - N[v]) at one vertex v per component: any
+    vertex of C_k, the triangle vertex carrying D_k's tail, A's plain
+    triangle vertex, E's attachment vertex and B's fork vertex.  What is
+    left is paths, and D-graphs for B.  A union is the product of its
+    parts."""
+
+    def d(k: int) -> int:
+        return p[2] * p[k - 3] + (p[k - 4] << bits)
+
+    product = 1
+    for kind, ps in candidate:
+        if kind == "C":
+            (k,) = ps
+            part = p[k - 1] + (p[k - 3] << bits)
+        elif kind == "D":
+            part = d(ps[0])
+        elif kind == "A":
+            m1, m2 = ps
+            part = p[m1 + m2 + 2] + (p[m1] * p[m2] << bits)
+        elif kind == "E":
+            m1, m2 = ps
+            c = m1 + 3
+            part = p[c - 1] * p[m2] + (p[c - 3] * p[m2 - 1] << bits)
+        else:  # B, split at the fork vertex
+            m1, m2, m3 = ps
+            q = d(m1 + 2) if m1 >= 1 else p[2]
+            part = (d(m1 + 3) * p[m2] * p[m3]
+                    + (q * p[m2 - 1] * p[m3 - 1] << bits))
+        product *= part
+    return product
+
+
+def _special_family_params(n: int, kind: str, total: int,
+                           r: int) -> Iterator[tuple[int, ...]]:
+    """The A/B/E parameters with the given total of arm vertices whose
     closed-form independence number admits exactly r components in a
     member of the class of C_n (see component_count_bound)."""
     if kind == "B":
@@ -282,7 +368,7 @@ def _special_family_specs(n: int, kind: str, total: int, r: int) -> Iterator[str
         params = ((m1, total - m1) for m1 in range(1, total))
     for ps in params:
         if component_count_bound(n, kind, ps) == (r,):
-            yield f"{kind}({','.join(map(str, ps))})"
+            yield ps
 
 
 def _divisor_cycle_multisets(n: int) -> Iterator[tuple[int, ...]]:
@@ -304,16 +390,59 @@ def _divisor_cycle_multisets(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(n, 0, ())
 
 
-def _cd_variants(ms: tuple[int, ...]) -> Iterator[tuple[str, ...]]:
+def _cd_variants(ms: tuple[int, ...]) -> Iterator[Candidate]:
     """All cycle/tailed-triangle substitutions of a divisor multiset."""
-    choices = [(f"C{m}",) if m < 4 else (f"C{m}", f"D{m}") for m in ms]
+    choices = [
+        (("C", (m,)),) if m < 4 else (("C", (m,)), ("D", (m,))) for m in ms
+    ]
     yield from itertools.product(*choices)
+
+
+def _structured_candidates(n: int, stats: dict[str, int]) -> list[Candidate]:
+    """Every candidate of the structural narrowing for the class of C_n, in
+    a fixed order; counts the divisor multisets it scans in stats."""
+    candidates: list[Candidate] = [(("C", (n,)),)]
+    if n >= 4:
+        candidates.append((("D", (n,)),))
+
+    # members that are disjoint unions of divisor cycles (or D variants),
+    # their polynomials multiplied packed in (n+1)-bit slots
+    bits = n + 1
+    target = pack(cycle_poly(n), bits)
+    cycles = {m: pack(cycle_poly(m), bits) for m in divisors(n) if m >= 3}
+    for ms in _divisor_cycle_multisets(n):
+        stats["divisor_multisets_scanned"] += 1
+        if math.prod(cycles[m] for m in ms) == target:
+            candidates.extend(_cd_variants(ms))
+
+    if n % 3 == 0 and n > 3:
+        c3 = ("C", (3,))
+        # r = 2: C_3 plus one special component
+        for kind in "AEB":
+            body = n - 3 - family_vertex_count(kind, ())
+            for ps in _special_family_params(n, kind, body, 2):
+                candidates.append((c3, (kind, ps)))
+        # r = 3: C_3, one divisor cycle (or its D variant), one special
+        for m in divisors(n):
+            if m < 5 or m % 2 == 0 or m % 3 == 0 or m >= n:
+                continue
+            for kind in "AEB":
+                body = n - 3 - m - family_vertex_count(kind, ())
+                for mid in (("C", (m,)), ("D", (m,))):
+                    for ps in _special_family_params(n, kind, body, 3):
+                        candidates.append((c3, mid, (kind, ps)))
+    return candidates
 
 
 def structured_class_search(n: int, cache: Optional[PolyCache] = None,
                             seed: Optional[int] = None) -> ClassReport:
-    """The class of C_n via the structural narrowing, every candidate
-    polynomial-tested exactly."""
+    """The class of C_n via the structural narrowing.
+
+    Every candidate is tested exactly against I(C_n, x) by its closed-form
+    polynomial (`_closed_form`), and only a candidate that passes is built
+    as a graph; `indpoly` must then confirm it before it becomes a member.
+    A closed form that `indpoly` contradicts raises AssertionError.
+    """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"structured search requires odd n >= 3, got {n}")
     if n > MAX_COMPONENT_VERTICES:
@@ -332,49 +461,30 @@ def structured_class_search(n: int, cache: Optional[PolyCache] = None,
         "divisor_multisets_scanned": 0,
     }
     members: dict[bytes, ClassMember] = {}
-    # spec strings, each built only when tested: building all 1,121 graphs
-    # of n = 45 up front would cost several MB of peak memory
-    candidates = [f"C{n}"]
-    if n >= 4:
-        candidates.append(f"D{n}")
-
-    # members that are disjoint unions of divisor cycles (or D variants)
-    for ms in _divisor_cycle_multisets(n):
-        stats["divisor_multisets_scanned"] += 1
-        product = ONE
-        for m in ms:
-            product = product * cycle_poly(m)
-        if product == target:
-            candidates.extend("+".join(v) for v in _cd_variants(ms))
-
-    if n % 3 == 0 and n > 3:
-        # r = 2: C_3 plus one special component
-        for kind in "AEB":
-            body = n - 3 - family_vertex_count(kind, ())
-            for spec in _special_family_specs(n, kind, body, 2):
-                candidates.append(f"C3+{spec}")
-        # r = 3: C_3, one divisor cycle (or its D variant), one special
-        for m in divisors(n):
-            if m < 5 or m % 2 == 0 or m % 3 == 0 or m >= n:
-                continue
-            for kind in "AEB":
-                body = n - 3 - m - family_vertex_count(kind, ())
-                for mid in (f"C{m}", f"D{m}"):
-                    for spec in _special_family_specs(n, kind, body, 3):
-                        candidates.append(f"C3+{mid}+{spec}")
-
+    candidates = _structured_candidates(n, stats)
     if seed is not None:
         random.Random(seed).shuffle(candidates)
 
-    for spec in candidates:
+    bits = n + 1
+    p = _path_table(n, bits)
+    packed_target = pack(target, bits)
+    for candidate in candidates:
         stats["candidates_generated"] += 1
-        g = parse_spec(spec)
-        if g.n != n:
-            raise AssertionError(f"candidate {spec} has wrong size")
+        if _candidate_size(candidate) != n:
+            raise AssertionError(
+                f"candidate {_candidate_name(candidate)} has wrong size"
+            )
         stats["polynomial_tests"] += 1
-        if indpoly(g, cache) == target:
-            member = _make_member(g, n, target)
-            members.setdefault(member.key, member)
+        if _closed_form(candidate, p, bits) != packed_target:
+            continue
+        g = _candidate_graph(candidate)
+        if indpoly(g, cache) != target:
+            raise AssertionError(
+                f"the closed form of candidate {_candidate_name(candidate)} "
+                f"equals I(C_{n}, x), but indpoly disagrees"
+            )
+        member = _make_member(g, n, target)
+        members.setdefault(member.key, member)
 
     ordered = [members[k] for k in sorted(members)]
     return ClassReport(
@@ -829,6 +939,11 @@ def exhaustive_class_search(n: int, mode: str = "unicyclic_multisets",
             raise ValueError(
                 f"unicyclic-multiset scan supports odd 3 <= n <= "
                 f"{MAX_UNICYCLIC_N}, got {n}"
+            )
+        if not prune and n > MAX_UNPRUNED_UNICYCLIC_N:
+            raise ValueError(
+                f"unpruned unicyclic-multiset scan supports n <= "
+                f"{MAX_UNPRUNED_UNICYCLIC_N} (MAX_UNPRUNED_UNICYCLIC_N), got {n}"
             )
         members = _exhaustive_unicyclic(n, cache, prune, stats)
         mode_name = "exhaustive_unicyclic_multisets"

@@ -117,15 +117,15 @@ def test_criterion_2_classification_classes(structured_reports):
     } | {canonical_key(cycle(15)), canonical_key(d_graph(15))}
     assert structured_reports[15].member_keys() == expected15
 
-    # candidate generation is pinned too, not only the members it yields
-    candidates = {
-        n: structured_reports[n].stats["candidates_generated"] for n in ODD
-    }
-    assert candidates == {
+    # candidate generation is pinned too, not only the members it yields,
+    # and every candidate is polynomial-tested
+    pinned = {
         3: 1, 5: 2, 7: 2, 9: 7, 11: 2, 13: 2, 15: 56, 17: 2, 19: 2, 21: 149,
         23: 2, 25: 2, 27: 232, 29: 2, 31: 2, 33: 467, 35: 2, 37: 2, 39: 692,
         41: 2, 43: 2, 45: 1121,
     }
+    for stat in ("candidates_generated", "polynomial_tests"):
+        assert {n: structured_reports[n].stats[stat] for n in ODD} == pinned
 
     elapsed = time.perf_counter() - started
     total_search = sum(r.wall_time for r in structured_reports.values())
@@ -138,13 +138,13 @@ def test_criterion_2_classification_classes(structured_reports):
 
 @pytest.mark.slow
 def test_criterion_2_classes_beyond_64(shared_cache):
-    # past the old 64-vertex canonical-key cap: odd n up to 99, and n = 127
+    # past the old 64-vertex canonical-key cap: every odd n up to 127
     started = time.perf_counter()
-    for n in [*range(65, 100, 2), 127]:
+    for n in range(65, 128, 2):
         report = structured_class_search(n, shared_cache)
         expected = {canonical_key(cycle(n)), canonical_key(d_graph(n))}
         assert report.member_keys() == expected, n
-    announce("criterion-2 classification classes 65..99, 127",
+    announce("criterion-2 classification classes 65..127",
              f"{time.perf_counter() - started:.1f}s")
 
 

@@ -6,6 +6,7 @@ import pytest
 from indequiv.canon import canonical_key
 from indequiv.census import subgraph_census
 from indequiv.classes import (
+    MAX_UNPRUNED_UNICYCLIC_N,
     alpha_formula,
     component_count_bound,
     describe_graph,
@@ -14,10 +15,16 @@ from indequiv.classes import (
     structural_checks,
     structured_class_search,
     unicyclic_necklaces,
+    _candidate_graph,
+    _candidate_name,
+    _candidate_size,
+    _closed_form,
     _graph_levels,
     _necklace_graph,
     _necklace_poly,
+    _path_table,
     _rooted_trees,
+    _structured_candidates,
 )
 from indequiv.graphs import (
     Graph,
@@ -33,7 +40,12 @@ from indequiv.graphs import (
 )
 from indequiv.graph6 import parse_graph6
 from indequiv.gspec import parse_spec
-from indequiv.indpoly import PolyCache, independence_number, indpoly
+from indequiv.indpoly import (
+    PolyCache,
+    independence_number,
+    indpoly,
+    indpoly_bruteforce,
+)
 from indequiv.intpoly import cycle_poly, pack, unpack
 
 from conftest import naive_independent_counts
@@ -276,6 +288,79 @@ def test_structured_seed_invariance():
         ]
 
 
+# --- closed-form family polynomials -------------------------------------------
+
+
+def _family_parts(max_v):
+    """Every C, D, A, E and B graph on at most max_v vertices, as a part."""
+    parts = [("C", (k,)) for k in range(3, max_v + 1)]
+    parts += [("D", (k,)) for k in range(4, max_v + 1)]
+    for total in range(2, max_v - 2):
+        for m1 in range(1, total):
+            parts += [("A", (m1, total - m1)), ("E", (m1, total - m1))]
+    for total in range(2, max_v - 3):
+        for m1 in range(0, total - 1):
+            for m2 in range(1, total - m1):
+                parts.append(("B", (m1, m2, total - m1 - m2)))
+    return parts
+
+
+def closed_form_poly(candidate, n, p=None):
+    """The closed-form polynomial of a candidate on n vertices, unpacked."""
+    bits = n + 1
+    if p is None:
+        p = _path_table(n, bits)
+    return unpack(_closed_form(candidate, p, bits), bits)
+
+
+def test_closed_forms_match_bruteforce_up_to_16_vertices():
+    # every family graph on at most 16 vertices, alone, and every structured
+    # candidate for odd n <= 15, which has the C_3 + C/D + special unions
+    candidates = [(part,) for part in _family_parts(16)]
+    assert len(candidates) == 469
+    for n in range(3, 16, 2):
+        candidates += _structured_candidates(n, {"divisor_multisets_scanned": 0})
+    assert len(candidates) == 469 + 72
+    for candidate in candidates:
+        g = _candidate_graph(candidate)
+        assert g.n == _candidate_size(candidate) <= 16
+        assert closed_form_poly(candidate, g.n) == indpoly_bruteforce(g), \
+            _candidate_name(candidate)
+
+
+def test_closed_forms_match_indpoly_on_every_candidate_up_to_45():
+    cache = PolyCache()
+    count = 0
+    for n in range(3, 46, 2):
+        p = _path_table(n, n + 1)
+        for candidate in _structured_candidates(n, {"divisor_multisets_scanned": 0}):
+            count += 1
+            want = indpoly(_candidate_graph(candidate), cache)
+            assert closed_form_poly(candidate, n, p) == want, \
+                _candidate_name(candidate)
+    assert count == 2753
+
+
+def test_indpoly_confirms_every_closed_form_hit(monkeypatch):
+    # a closed form that matches I(C_n) wrongly must raise, never be trusted
+    from indequiv import classes
+
+    target = pack(cycle_poly(15), 16)
+    monkeypatch.setattr(classes, "_closed_form", lambda cand, p, bits: target)
+    with pytest.raises(AssertionError,
+                       match=r"candidate C3\+\S+ equals I\(C_15, x\), but indpoly"):
+        structured_class_search(15)
+
+
+def test_every_candidate_is_size_checked(monkeypatch):
+    from indequiv import classes
+
+    monkeypatch.setattr(classes, "_structured_candidates",
+                        lambda n, stats: [(("C", (n,)), ("C", (3,)))])
+    with pytest.raises(AssertionError, match=r"candidate C9\+C3 has wrong size"):
+        structured_class_search(9)
+
+
 def _atlas_level_sizes(n, s_bound=None):
     """Per edge count, the isomorphism classes of n-vertex graphs in the
     networkx atlas (every graph on up to 7 vertices), optionally only those
@@ -345,6 +430,23 @@ def test_exhaustive_guards():
         exhaustive_class_search(8, "unicyclic_multisets")
     with pytest.raises(ValueError):
         exhaustive_class_search(9, "nonsense")
+
+
+def test_unpruned_unicyclic_beyond_its_cap_is_refused(monkeypatch):
+    from indequiv import classes
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(classes, "_exhaustive_unicyclic", no_search)
+    assert MAX_UNPRUNED_UNICYCLIC_N == 17
+    for n in (19, 21):
+        with pytest.raises(ValueError, match=rf"n <= 17 \(MAX_UNPRUNED_UNICYCLIC_N\), got {n}"):
+            exhaustive_class_search(n, "unicyclic_multisets", prune=False)
+    # the pruned scan and the unpruned one up to the cap still start
+    for n, prune in ((21, True), (17, False)):
+        with pytest.raises(AssertionError, match="the search started"):
+            exhaustive_class_search(n, "unicyclic_multisets", prune=prune)
 
 
 def test_exhaustive_modes_are_the_two_cli_spellings():
@@ -453,7 +555,7 @@ def test_r3_a_subcase_solutions():
 def test_report_shape():
     report = structured_class_search(9)
     assert report.mode == "structured"
-    assert report.stats["polynomial_tests"] >= report.stats["candidates_generated"] - 0
+    assert report.stats["polynomial_tests"] == report.stats["candidates_generated"]
     assert report.wall_time >= 0
     descriptions = [m.description for m in report.members]
     assert len(set(descriptions)) == 6

@@ -153,6 +153,19 @@ def test_unicyclic_beyond_the_list_limit_is_refused_up_front(capsys):
     assert "MAX_UNICYCLIC_LIST_V" in err and "15" in err
 
 
+def test_unpruned_unicyclic_beyond_its_cap_is_refused_up_front(capsys, monkeypatch):
+    from indequiv import classes
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(classes, "_exhaustive_unicyclic", no_search)
+    code, out, err = run_cli(capsys, "class", "19", "--mode", "unicyclic",
+                             "--no-prune")
+    assert code == 1 and out == ""
+    assert "MAX_UNPRUNED_UNICYCLIC_N" in err and "17" in err
+
+
 def test_poisoned_cache_file_is_never_read(capsys, tmp_path, monkeypatch):
     # a JSON-lines polynomial cache entry for C_9 with its last coefficient
     # set to 10, in the format older versions read from $GRAPHEQ_CACHE
