@@ -22,9 +22,11 @@ Two independent computations of the class are provided:
   and brute-forced, never through the ``indpoly`` recursion.  Mode
   ``unicyclic_multisets`` scans multisets of connected unicyclic graphs,
   pruning components whose polynomial does not divide the target exactly.
-  Component polynomials are swept and multiplied packed into ints
-  (``intpoly.pack``); a component's graph is built only when its multiset
-  matches the target, and ``indpoly`` of the union then confirms it.
+  The components come from one necklace walk per cycle length, which
+  serves every component size at once and carries each component's
+  polynomial down the walk packed into an int (``intpoly.pack``); a
+  component's graph is built only when its multiset matches the target,
+  and ``indpoly`` of the union then confirms it.
 
 The two must agree; the test suite enforces it.
 """
@@ -78,8 +80,8 @@ MAX_UNICYCLIC_N = 21
 # n = 17 took 33 s and 479 MB on a 2-core x86-64 machine, and the pool grows
 # about 7.9x per step of 2 in n, so n = 19 and 21 would need tens of GB
 MAX_UNPRUNED_UNICYCLIC_N = 17
-# `unicyclic <v>` labels every graph and holds them in one list: v = 15
-# (110,381 graphs) took 42 s and 374 MB on a 2-core x86-64 machine, and each
+# `unicyclic <v>` labels every graph and keeps one row per graph: v = 15
+# (110,381 graphs) took 55 s and 144 MB on a 2-core x86-64 machine, and each
 # step of 2 in v multiplies the count by about 2.8
 MAX_UNICYCLIC_LIST_V = 15
 
@@ -500,42 +502,33 @@ def structured_class_search(n: int, cache: Optional[PolyCache] = None,
 
 
 class RootedTree:
-    """A rooted tree up to isomorphism, as a canonical nested shape tuple.
+    """A rooted tree up to isomorphism: its children, sorted by shape, and
+    its canonical nested shape tuple.
 
-    Carries the data the unicyclic enumerator needs: the independent-set
-    generating polynomials with the root excluded (w0) and included (w1),
-    and the branch-vertex weights that the degree-census prefilter uses.
+    Carries the vertex count and the branch-vertex weights that the
+    degree-census prefilter uses.  Its independence polynomials are packed
+    per slot width by `_packed_pairs`.  Build trees through `_tree`, which
+    keeps one object per shape.
     """
 
-    __slots__ = ("shape", "size", "root_degree", "inner_weight",
-                 "attach_weight", "w0", "w1")
+    __slots__ = ("children", "shape", "size", "inner_weight", "attach_weight")
 
     def __init__(self, children: tuple["RootedTree", ...]):
-        self.shape = tuple(sorted(c.shape for c in children))
+        self.children = children
+        self.shape = tuple(c.shape for c in children)
         self.size = 1 + sum(c.size for c in children)
-        self.root_degree = len(children)
-        self.inner_weight = math.comb(self.root_degree, 2) + sum(
+        degree = len(children)
+        self.inner_weight = math.comb(degree, 2) + sum(
             c.inner_weight for c in children
         )
-        self.attach_weight = (
-            math.comb(self.root_degree + 1, 2)
-            + self.inner_weight
-            - math.comb(self.root_degree, 2)
-        )
-        w0 = ONE
-        w1 = IntPoly([0, 1])
-        for c in children:
-            w0 = w0 * (c.w0 + c.w1)
-            w1 = w1 * c.w0
-        self.w0 = w0
-        self.w1 = w1
+        # on a cycle vertex the root's C(degree, 2) becomes C(degree + 1, 2)
+        self.attach_weight = self.inner_weight + degree
 
     def edges(self, root_label: int, next_label: int,
               out: list[tuple[int, int]]) -> int:
         """Append this tree's edges using dense labels; returns the next
         free label."""
-        for child_shape in self.shape:
-            child = _tree_from_shape(child_shape)
+        for child in self.children:
             out.append((root_label, next_label))
             next_label = child.edges(next_label, next_label + 1, out)
         return next_label
@@ -544,37 +537,43 @@ class RootedTree:
 _shape_registry: dict[tuple, RootedTree] = {}
 
 
-def _tree_from_shape(shape: tuple) -> RootedTree:
+def _tree(children: list[RootedTree]) -> RootedTree:
+    """The one tree whose root has these children, in any order."""
+    children.sort(key=lambda t: t.shape)
+    shape = tuple(c.shape for c in children)
     tree = _shape_registry.get(shape)
     if tree is None:
-        tree = RootedTree(tuple(_tree_from_shape(s) for s in shape))
-        _shape_registry[shape] = tree
+        tree = _shape_registry[shape] = RootedTree(tuple(children))
     return tree
 
 
-def _partitions(total: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of total into parts <= max_part, non-increasing."""
+def _partitions(total: int, max_part: int,
+                max_parts: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of total into at most max_parts parts <= max_part,
+    non-increasing."""
     if total == 0:
         yield ()
         return
+    if total > max_part * max_parts:
+        return
     for part in range(min(total, max_part), 0, -1):
-        for rest in _partitions(total - part, part):
+        for rest in _partitions(total - part, part, max_parts - 1):
             yield (part,) + rest
 
 
 @lru_cache(maxsize=None)
 def _rooted_trees(size: int, inner_cap: Optional[int]) -> tuple[RootedTree, ...]:
     """All rooted trees on `size` vertices up to isomorphism, optionally
-    restricted to inner branch weight <= inner_cap."""
+    restricted to inner branch weight <= inner_cap, in shape order."""
     if size == 1:
-        leaf = _tree_from_shape(())
-        return (leaf,)
+        return (_tree([]),)
+    # the root's own C(degree, 2) must be within the cap
+    max_degree = (size - 1 if inner_cap is None
+                  else (1 + math.isqrt(1 + 8 * inner_cap)) // 2)
     out = []
-    for partition in _partitions(size - 1, size - 1):
+    for partition in _partitions(size - 1, size - 1, max_degree):
         degree = len(partition)
         base = math.comb(degree, 2)
-        if inner_cap is not None and base > inner_cap:
-            continue
         groups = []
         for part, copies in sorted(
             ((p, sum(1 for q in partition if q == p)) for p in set(partition))
@@ -583,27 +582,37 @@ def _rooted_trees(size: int, inner_cap: Optional[int]) -> tuple[RootedTree, ...]
             pool = _rooted_trees(part, child_cap)
             groups.append(list(itertools.combinations_with_replacement(pool, copies)))
         for combo in itertools.product(*groups):
-            children = tuple(itertools.chain.from_iterable(combo))
+            children = list(itertools.chain.from_iterable(combo))
             inner = base + sum(c.inner_weight for c in children)
             if inner_cap is not None and inner > inner_cap:
                 continue
-            tree = _tree_from_shape(tuple(sorted(c.shape for c in children)))
-            out.append(tree)
+            out.append(_tree(children))
     out.sort(key=lambda t: t.shape)
     return tuple(out)
 
 
-def _necklace_poly(pairs: list[tuple[int, int]]) -> int:
-    """Independence polynomial of a cycle of rooted trees, by a two-state
-    sweep (root of each tree in or out of the independent set), on the
-    trees' (w0, w1) packed by `intpoly.pack`; the result is packed alike."""
-    w00, w10 = pairs[0]
-    a, b = w00, 0           # first root excluded
-    a2, b2 = 0, w10         # first root included
-    for w0, w1 in pairs[1:]:
-        a, b = (a + b) * w0, a * w1
-        a2, b2 = (a2 + b2) * w0, a2 * w1
-    return a + b + a2
+def _packed_pairs(trees: list[RootedTree],
+                  bits: int) -> dict[RootedTree, tuple[int, int]]:
+    """(w0, w1) for each tree: the independence polynomials of the tree with
+    its root excluded and included, w0 = prod(c0 + c1) and w1 = x * prod(c0)
+    over the children's pairs, packed in `bits`-wide slots as by
+    `intpoly.pack`."""
+    pairs: dict[RootedTree, tuple[int, int]] = {}
+
+    def pair(t: RootedTree) -> tuple[int, int]:
+        found = pairs.get(t)
+        if found is None:
+            w0, w1 = 1, 1 << bits
+            for child in t.children:
+                c0, c1 = pair(child)
+                w0 *= c0 + c1
+                w1 *= c0
+            found = pairs[t] = (w0, w1)
+        return found
+
+    for t in trees:
+        pair(t)
+    return pairs
 
 
 def _necklace_graph(c: int, trees: tuple[RootedTree, ...]) -> Graph:
@@ -614,88 +623,141 @@ def _necklace_graph(c: int, trees: tuple[RootedTree, ...]) -> Graph:
     return Graph(next_label, edges)
 
 
-def unicyclic_necklaces(
-    v: int, attach_budget: Optional[int] = None
-) -> Iterator[tuple[int, tuple[RootedTree, ...]]]:
-    """Connected unicyclic graphs on v vertices, one per isomorphism class,
-    as (cycle length, rooted trees hung on the cycle positions).
+#: A connected unicyclic graph as the necklace walk yields it and the
+#: unicyclic pool holds it: (vertex count, cycle length, rooted trees hung
+#: on the cycle positions, independence polynomial).
+Necklace = tuple[int, int, tuple[RootedTree, ...], IntPoly | int]
+
+
+def unicyclic_necklaces(budgets: dict[int, Optional[int]],
+                        bits: int) -> Iterator[Necklace]:
+    """Connected unicyclic graphs, one per isomorphism class, on each vertex
+    count v in budgets whose total attach weight is at most budgets[v]
+    (None: unbounded), with I(G, x) packed in `bits`-wide slots.
 
     Each class appears once, as the dihedral-minimal sequence of tree shapes
-    around its unique cycle.  Positions are filled in order, and only
-    prefixes of necklaces are extended (the prenecklace rule of Fredricksen,
-    Kessler and Maiorana; Ruskey, Savage and Wang, J. Algorithms 13, 1992):
-    with p the length of the prefix's longest Lyndon prefix, position pos
-    takes only shapes >= seq[pos - p], and p stays on equality and becomes
-    pos + 1 otherwise.  The last position takes the vertices left over.  A
-    full sequence is a necklace iff c % p == 0, and is emitted iff no
-    rotation of its reversal is smaller.  The optional attach_budget
-    restricts the total branch-vertex weight.
-    """
-    budget = math.inf if attach_budget is None else attach_budget
-    for c in range(3, v + 1):
-        pools = {
-            s: tuple(t for t in _rooted_trees(s, attach_budget)
-                     if t.attach_weight <= budget)
-            for s in range(1, v - c + 2)
-        }
-        # shapes compare as ranks; each pool is in shape order already
-        order = sorted(itertools.chain(*pools.values()), key=lambda t: t.shape)
-        rank = {t: r for r, t in enumerate(order)}
-        ranks = {s: [rank[t] for t in pool] for s, pool in pools.items()}
-        seq = [0] * c
-        trees = [None] * c
-        found = []
+    around its unique cycle.  One walk per cycle length c fills the
+    positions in order and serves every v at once.  Only prefixes of
+    necklaces are extended (the prenecklace rule of Fredricksen, Kessler
+    and Maiorana; Ruskey, Savage and Wang, J. Algorithms 13, 1992): with p
+    the length of the prefix's longest Lyndon prefix, position pos takes
+    only shapes >= seq[pos - p], and p stays on equality and becomes pos + 1
+    otherwise.  A full sequence is a necklace iff c % p == 0, and is kept
+    iff no rotation of its reversal is smaller.  A prefix is cut once its
+    weight exceeds every budget it can still reach, and a position stops
+    scanning a size's trees once none left fits.
 
-        def assign(pos: int, rem: int, weight: int, p: int):
-            floor = seq[pos - p] if pos else 0
-            last = pos == c - 1
-            for s in (rem + 1,) if last else range(1, rem + 2):
-                pool, rk = pools[s], ranks[s]
-                for i in range(bisect.bisect_left(rk, floor), len(pool)):
-                    t = pool[i]
-                    w = weight + t.attach_weight
-                    if w > budget:
+    The walk carries the cycle's two-state sweep down the positions (first
+    root out or in, current root out or in), so each graph's polynomial
+    costs one combine at the last position.  Graphs come out by c, and for
+    each v in a fixed order: per position, tree sizes ascending, then
+    shapes.
+    """
+    served = sorted(budgets)
+    top = served[-1]
+    limits = {v: math.inf if b is None else b for v, b in budgets.items()}
+    # reach[u]: the largest budget of a size >= u, the most a prefix on u
+    # vertices may weigh (-1: no size left to serve)
+    reach = [-1] * (top + 2)
+    for u in range(top, 2, -1):
+        reach[u] = max(reach[u + 1], limits.get(u, -1))
+    pools = {}
+    for s in range(1, top - 1):
+        # a tree on s vertices hangs in a graph on s + 2 vertices or more
+        cap = reach[s + 2]
+        pool = _rooted_trees(s, None if cap == math.inf else cap)
+        pools[s] = [t for t in pool if t.attach_weight <= cap]
+    # shapes compare as one-character codes, in shape order
+    order = sorted(itertools.chain(*pools.values()), key=lambda t: t.shape)
+    code = {t: chr(r) for r, t in enumerate(order)}
+    pairs = _packed_pairs(order, bits)
+    tables = {}
+    for s, pool in pools.items():
+        # sufmin[i]: the least weight in pool[i:], for the exact early exit
+        sufmin = [t.attach_weight for t in pool]
+        for i in range(len(pool) - 2, -1, -1):
+            sufmin[i] = min(sufmin[i], sufmin[i + 1])
+        tables[s] = ([code[t] for t in pool], sufmin,
+                     [(code[t], t.attach_weight, *pairs[t], t) for t in pool])
+
+    for c in range(3, top + 1):
+        seq = [""] * c
+        trees: list[Optional[RootedTree]] = [None] * c
+        found: list[Necklace] = []
+
+        def walk(pos: int, used: int, weight: int, p: int,
+                 a: int, b: int, a2: int, b2: int):
+            # a, b: first root out, current root out / in; a2, b2: first
+            # root in.  `used` counts the vertices placed so far, with one
+            # per position still open.
+            floor = seq[pos - p] if pos else "\0"
+            nxt = last if pos + 2 == c else walk
+            # a tree on two or more vertices weighs at least its root's
+            # degree, so a prefix with no room left takes single vertices
+            sizes = top - used + 1 if reach[used] > weight else 1
+            for s in range(1, sizes + 1):
+                room = reach[used + s - 1] - weight
+                if room < 0:
+                    break
+                codes, sufmin, entries = tables[s]
+                lo = bisect.bisect_left(codes, floor)
+                hi = bisect.bisect_right(sufmin, room)
+                for r, aw, w0, w1, t in entries[lo:hi]:
+                    if aw > room:
                         continue
-                    r = rk[i]
-                    q = p if r == floor else pos + 1
                     seq[pos] = r
                     trees[pos] = t
-                    if not last:
-                        assign(pos + 1, rem - (s - 1), w, q)
-                    elif c % q == 0:
-                        key = tuple(seq)
-                        rev = key[::-1] * 2
-                        if all(rev[k:k + c] >= key for k in range(c)):
-                            found.append((c, tuple(trees)))
+                    nxt(pos + 1, used + s - 1, weight + aw,
+                        p if r == floor else pos + 1,
+                        (a + b) * w0, a * w1, (a2 + b2) * w0, a2 * w1)
 
-        assign(0, v - c, 0, 1)
+        def last(pos: int, used: int, weight: int, p: int,
+                 a: int, b: int, a2: int, b2: int):
+            floor = seq[pos - p]
+            whole = a + b + a2 + b2
+            head = "".join(seq[:pos])
+            back = head[::-1]
+            kept = tuple(trees[:pos])
+            # a rotation of the reversal smaller than the necklace starts
+            # with the necklace's leading run of its least code, which is
+            # its longest run and, unless all codes are equal, the head's
+            lead = head[:pos - len(head.lstrip(head[0]))]
+            for v in served[bisect.bisect_left(served, used):]:
+                room = limits[v] - weight
+                codes, sufmin, entries = tables[v - used + 1]
+                lo = bisect.bisect_left(codes, floor)
+                hi = bisect.bisect_right(sufmin, room)
+                for r, aw, w0, w1, t in entries[lo:hi]:
+                    if aw > room or (r == floor and c % p):
+                        continue
+                    key = head + r
+                    rev = r + back
+                    rev += rev
+                    k = rev.find(lead)
+                    while k < c and rev[k:k + c] >= key:
+                        k = rev.find(lead, k + 1)
+                    if k < c:
+                        continue
+                    found.append((v, c, kept + (t,), whole * w0 + a * w1))
+
+        # the state before position 0 makes its update (w0, 0, 0, w1)
+        walk(0, c, 0, 1, 0, 1, 1, -1)
         yield from found
 
 
-def enumerate_unicyclic(v: int) -> list[Graph]:
-    """All connected unicyclic graphs on v vertices up to isomorphism."""
+def enumerate_unicyclic(v: int) -> Iterator[Graph]:
+    """All connected unicyclic graphs on v vertices up to isomorphism, each
+    built as the necklace walk yields it."""
     if not 3 <= v <= MAX_UNICYCLIC_LIST_V:
         raise ValueError(
             f"unicyclic enumeration supports 3 <= v <= {MAX_UNICYCLIC_LIST_V} "
             f"(MAX_UNICYCLIC_LIST_V), got {v}"
         )
-    return [_necklace_graph(c, trees) for c, trees in unicyclic_necklaces(v)]
+    return (_necklace_graph(c, trees)
+            for _, c, trees, _ in unicyclic_necklaces({v: None}, v + 1))
 
 
 # --- exhaustive search: unicyclic multisets ----------------------------------
-
-
-@dataclass(frozen=True)
-class _Component:
-    """A pool entry: a necklace (cycle length, rooted trees) on `size`
-    vertices and its polynomial, packed in (n+1)-bit slots for the unpruned
-    scan, which only multiplies, and unpacked for the pruned one, which
-    divides."""
-
-    cycle: int
-    trees: tuple[RootedTree, ...]
-    poly: IntPoly | int
-    size: int
 
 
 def _divisor_products(n: int) -> list[IntPoly]:
@@ -726,45 +788,36 @@ def _component_weight_classes(n: int) -> dict[int, set[int]]:
 
 def _unicyclic_component_pool(
     n: int, target: IntPoly, prune: bool, stats: dict[str, int]
-) -> list[_Component]:
+) -> list[Necklace]:
     """Candidate connected components for members of the class of C_n,
-    largest sizes first."""
-    pool: list[_Component] = []
+    largest sizes first, each size's in the walk's order.  Their
+    polynomials are packed in (n+1)-bit slots for the unpruned scan, which
+    only multiplies, and unpacked for the pruned one, which divides."""
     bits = n + 1
-    packed: dict[RootedTree, tuple[int, int]] = {}
-
-    def packed_pair(t: RootedTree) -> tuple[int, int]:
-        if t not in packed:
-            packed[t] = (pack(t.w0, bits), pack(t.w1, bits))
-        return packed[t]
-
     if prune:
         classes = _component_weight_classes(n)
-        sizes = sorted(classes, reverse=True)
+        budgets = {v: max(ws) + 1 for v, ws in classes.items() if max(ws) >= -1}
     else:
-        sizes = list(range(n, 2, -1))
-    for v in sizes:
-        if prune:
-            weights = classes[v]
-            budget = max(weights) + 1
-            if budget < 0:
+        budgets = dict.fromkeys(range(3, n + 1))
+    by_size: dict[int, list[Necklace]] = {v: [] for v in budgets}
+    for comp in unicyclic_necklaces(budgets, bits):
+        by_size[comp[0]].append(comp)
+    pool: list[Necklace] = []
+    for v in sorted(by_size, reverse=True):
+        stats["components_generated"] += len(by_size[v])
+        if not prune:
+            pool += by_size[v]
+            continue
+        for _, c, trees, poly in by_size[v]:
+            wt = sum(t.attach_weight for t in trees) - (1 if c == 3 else 0)
+            if wt not in classes[v]:
+                stats["components_pruned_census"] += 1
                 continue
-        else:
-            weights, budget = None, None
-        for c, trees in unicyclic_necklaces(v, attach_budget=budget):
-            stats["components_generated"] += 1
-            if prune:
-                wt = sum(t.attach_weight for t in trees) - (1 if c == 3 else 0)
-                if wt not in weights:
-                    stats["components_pruned_census"] += 1
-                    continue
-            poly = _necklace_poly([packed_pair(t) for t in trees])
-            if prune:
-                poly = unpack(poly, bits)
-                if not poly_divides(poly, target):
-                    stats["components_pruned_divisor"] += 1
-                    continue
-            pool.append(_Component(c, trees, poly, v))
+            poly = unpack(poly, bits)
+            if not poly_divides(poly, target):
+                stats["components_pruned_divisor"] += 1
+                continue
+            pool.append((v, c, trees, poly))
     stats["components_admitted"] = len(pool)
     return pool
 
@@ -779,8 +832,8 @@ def _exhaustive_unicyclic(n: int, cache: PolyCache, prune: bool,
     stats.setdefault("multisets_tested", 0)
     members: dict[bytes, ClassMember] = {}
 
-    def accept(chosen: list[_Component]):
-        g = union(*(_necklace_graph(comp.cycle, comp.trees) for comp in chosen))
+    def accept(chosen: list[Necklace]):
+        g = union(*(_necklace_graph(c, trees) for _, c, trees, _ in chosen))
         stats["polynomial_tests"] = stats.get("polynomial_tests", 0) + 1
         if indpoly(g, cache) == target:
             member = _make_member(g, n, target)
@@ -792,11 +845,11 @@ def _exhaustive_unicyclic(n: int, cache: PolyCache, prune: bool,
     start, goal = (target, ONE) if prune else (1, pack(target, n + 1))
     # the pool runs from large components to small: fits[r] is the first
     # entry on at most r vertices, so no level walks past the larger ones
-    fits = [bisect.bisect_left(pool, -r, key=lambda comp: -comp.size)
+    fits = [bisect.bisect_left(pool, -r, key=lambda comp: -comp[0])
             for r in range(n + 1)]
 
     def descend(idx: int, remaining: int, acc: IntPoly | int,
-                chosen: list[_Component]):
+                chosen: list[Necklace]):
         if remaining == 0:
             stats["multisets_tested"] += 1
             if acc == goal:
@@ -804,13 +857,13 @@ def _exhaustive_unicyclic(n: int, cache: PolyCache, prune: bool,
             return
         for k in range(max(idx, fits[remaining]), len(pool)):
             comp = pool[k]
-            left = remaining - comp.size
+            left = remaining - comp[0]
             if left == 1 or left == 2:
                 continue
             if not prune:
-                nxt = acc * comp.poly
-            elif poly_divides(comp.poly, acc):
-                nxt = poly_exact_div(acc, comp.poly)
+                nxt = acc * comp[3]
+            elif poly_divides(comp[3], acc):
+                nxt = poly_exact_div(acc, comp[3])
             else:
                 continue
             chosen.append(comp)

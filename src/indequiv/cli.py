@@ -85,11 +85,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_class.add_argument(
         "--no-prune", action="store_true",
-        help="disable divisor pruning in the unicyclic oracle",
+        help="disable divisor pruning (--mode unicyclic only)",
     )
     p_class.add_argument(
         "--seed", type=int, default=None,
-        help="shuffle candidate processing order (results are order-independent)",
+        help="shuffle candidate processing order (--mode structured only; "
+             "results are order-independent)",
     )
     p_class.add_argument(
         "--threads", type=_worker_count, default=1,
@@ -269,6 +270,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "class":
+        # a flag that acts in one mode only is refused in the others
+        for flag, given, mode in (("--seed", args.seed is not None, "structured"),
+                                  ("--no-prune", args.no_prune, "unicyclic")):
+            if given and args.mode != mode:
+                parser.error(f"{flag} applies only to --mode {mode}, "
+                             f"not --mode {args.mode}")
     try:
         return _COMMANDS[args.command](args, PolyCache())
     except (GraphSpecError, Graph6Error) as exc:

@@ -21,7 +21,6 @@ from indequiv.classes import (
     _closed_form,
     _graph_levels,
     _necklace_graph,
-    _necklace_poly,
     _path_table,
     _rooted_trees,
     _structured_candidates,
@@ -129,19 +128,19 @@ def brute_force_unicyclic_count(v: int) -> int:
 
 
 def test_enumerate_unicyclic_small():
-    assert len(enumerate_unicyclic(3)) == 1
-    assert len(enumerate_unicyclic(4)) == 2
-    assert len(enumerate_unicyclic(5)) == 5
+    assert len(list(enumerate_unicyclic(3))) == 1
+    assert len(list(enumerate_unicyclic(4))) == 2
+    assert len(list(enumerate_unicyclic(5))) == 5
 
 
 @pytest.mark.parametrize("v", range(3, 8))
 def test_enumerate_unicyclic_against_brute_force(v):
-    assert len(enumerate_unicyclic(v)) == brute_force_unicyclic_count(v)
+    assert len(list(enumerate_unicyclic(v))) == brute_force_unicyclic_count(v)
 
 
 def test_enumerate_unicyclic_no_duplicates():
     for v in range(3, 10):
-        graphs = enumerate_unicyclic(v)
+        graphs = list(enumerate_unicyclic(v))
         keys = {canonical_key(g) for g in graphs}
         assert len(keys) == len(graphs)
         assert all(g.n == v and g.n_edges == v for g in graphs)
@@ -154,18 +153,28 @@ def test_enumerate_unicyclic_bounds():
         enumerate_unicyclic(16)
 
 
-def packed_necklace_poly(trees, bits):
-    """The necklace sweep on packed tree weights, unpacked."""
-    pairs = [(pack(t.w0, bits), pack(t.w1, bits)) for t in trees]
-    return unpack(_necklace_poly(pairs), bits)
+def walk_necklaces(budgets, bits):
+    """The necklace walk's graphs by size, each as (c, trees, I(G, x))
+    with the polynomial unpacked."""
+    found = {v: [] for v in budgets}
+    for v, c, trees, poly in unicyclic_necklaces(budgets, bits):
+        found[v].append((c, trees, unpack(poly, bits)))
+    return found
 
 
 def test_necklace_poly_matches_bruteforce():
-    for v in range(3, 9):
-        for c, trees in unicyclic_necklaces(v):
-            g = _necklace_graph(c, trees)
-            dp = packed_necklace_poly(trees, v + 1)
-            assert list(dp.coeffs) == naive_independent_counts(g)
+    # one walk serving sizes 3..8 in one slot width, and one per size
+    walks = [walk_necklaces(dict.fromkeys(range(3, 9)), 9)]
+    walks += [walk_necklaces({v: None}, v + 1) for v in range(3, 9)]
+    count = 0
+    for found in walks:
+        for v, necklaces in found.items():
+            for c, trees, poly in necklaces:
+                g = _necklace_graph(c, trees)
+                assert g.n == v
+                assert list(poly.coeffs) == naive_independent_counts(g)
+                count += 1
+    assert count == 2 * sum(A001429[:6])
 
 
 # OEIS A001429: connected unicyclic graphs on v nodes, v = 3, 4, ...
@@ -178,7 +187,7 @@ A001429 = (1, 2, 5, 13, 33, 89, 240, 657, 1806, 5026, 13999, 39260, 110381,
     for v in range(3, 17)
 ])
 def test_necklace_counts_match_oeis(v):
-    assert sum(1 for _ in unicyclic_necklaces(v)) == A001429[v - 3]
+    assert sum(1 for _ in unicyclic_necklaces({v: None}, v + 1)) == A001429[v - 3]
 
 
 def _dihedral_minimal(seq: tuple) -> bool:
@@ -199,7 +208,7 @@ def filtered_necklaces(v, budget):
     ascending, then shapes), kept iff its shapes are dihedral-minimal and
     its branch weight is within budget."""
     cap = math.inf if budget is None else budget
-    pools = {s: [t for t in _rooted_trees(s, budget) if t.attach_weight <= cap]
+    pools = {s: [t for t in _rooted_trees(s, None) if t.attach_weight <= cap]
              for s in range(1, v - 1)}
     out = []
 
@@ -222,9 +231,18 @@ def filtered_necklaces(v, budget):
 
 @pytest.mark.parametrize("budget", [None, 0, 1, 3])
 def test_necklaces_equal_the_leaf_filter_in_order(budget):
-    for v in range(3, 11):
-        assert list(unicyclic_necklaces(v, attach_budget=budget)) == \
-            filtered_necklaces(v, budget)
+    # one walk serving sizes 3..10 but 8, `budget` on odd sizes and another
+    # on even ones, so that the largest budget a prefix can reach moves
+    # both ways; and one walk per size with its own budget
+    other = 2 if budget is None else budget + 2
+    budgets = {v: budget if v % 2 else other for v in range(3, 11) if v != 8}
+    merged = walk_necklaces(budgets, 11)
+    assert set(merged) == set(budgets)
+    for v, b in budgets.items():
+        want = filtered_necklaces(v, b)
+        assert [(c, trees) for c, trees, _ in merged[v]] == want
+        alone = walk_necklaces({v: b}, v + 1)[v]
+        assert [(c, trees) for c, trees, _ in alone] == want
 
 
 # --- class searches -----------------------------------------------------------
@@ -411,6 +429,35 @@ def test_unicyclic_oracle_matches_structured(n):
     oracle = exhaustive_class_search(n, "unicyclic_multisets")
     structured = structured_class_search(n)
     assert oracle.member_keys() == structured.member_keys()
+
+
+def multiset_count(n, counts):
+    """The coefficient of x^n in prod_v (1 - x^v)^(-counts[v]): the number
+    of multisets of components, counts[v] kinds of them on v vertices,
+    with n vertices in all."""
+    series = [1] + [0] * n
+    for v, kinds in counts.items():
+        for _ in range(kinds):
+            for m in range(v, n + 1):
+                series[m] += series[m - v]
+    return series[n]
+
+
+@pytest.mark.parametrize("n", [
+    9, 11, 13, pytest.param(15, marks=pytest.mark.slow),
+])
+def test_unpruned_oracle_stats_match_independent_counts(n):
+    # every connected unicyclic graph on 3..n vertices is generated and
+    # admitted (OEIS A001429), and every multiset of them on n vertices is
+    # tested once
+    counts = {v: A001429[v - 3] for v in range(3, n + 1)}
+    stats = exhaustive_class_search(n, "unicyclic_multisets", prune=False).stats
+    assert stats["components_generated"] == sum(counts.values())
+    assert stats["components_admitted"] == sum(counts.values())
+    assert stats["multisets_tested"] == multiset_count(n, counts)
+    if n == 15:
+        assert sum(counts.values()) == 171512
+        assert stats["multisets_tested"] == 129327
 
 
 def test_divisor_pruning_changes_stats_not_members():
@@ -619,9 +666,8 @@ def test_census_prefilter_admits_exactly_the_dividing_components():
     n = 9
     target = cycle_poly(n)
     unfiltered = set()
-    for v in range(3, n + 1):
-        for c, trees in unicyclic_necklaces(v):
-            poly = packed_necklace_poly(trees, n + 1)
+    for necklaces in walk_necklaces(dict.fromkeys(range(3, n + 1)), n + 1).values():
+        for c, trees, poly in necklaces:
             if poly_divides(poly, target):
                 g = _necklace_graph(c, trees)
                 unfiltered.add(canonical_key(g))
@@ -631,7 +677,5 @@ def test_census_prefilter_admits_exactly_the_dividing_components():
         "components_pruned_divisor": 0,
     }
     pool = _unicyclic_component_pool(n, target, True, stats)
-    filtered = {
-        canonical_key(_necklace_graph(comp.cycle, comp.trees)) for comp in pool
-    }
+    filtered = {canonical_key(_necklace_graph(c, trees)) for _, c, trees, _ in pool}
     assert filtered == unfiltered

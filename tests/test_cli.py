@@ -264,12 +264,25 @@ def test_threads_below_one_is_a_usage_error(capsys, argv, bad):
     ("unicyclic", "5", "--seed", "1"),
     ("verify-paper", "--seed", "1"),
     ("verify-paper", "--threads", "2"),
+    ("class", "7", "--mode", "all-graphs", "--seed", "3"),
+    ("class", "9", "--mode", "unicyclic", "--seed", "3"),
+    ("class", "9", "--no-prune"),
+    ("class", "9", "--mode", "structured", "--no-prune"),
+    ("class", "7", "--mode", "all-graphs", "--no-prune"),
 ])
 def test_threads_and_seed_only_where_they_act(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if argv[0] != "class":
+        assert "unrecognized arguments" in err
+    else:
+        # `class` accepts both flags, but each only in the mode it acts in
+        flag, mode = (("--seed", "structured") if "--seed" in argv
+                      else ("--no-prune", "unicyclic"))
+        given = argv[argv.index("--mode") + 1] if "--mode" in argv else "structured"
+        assert f"{flag} applies only to --mode {mode}, not --mode {given}" in err
 
 
 def test_ledger_entries_pass_quickly():
