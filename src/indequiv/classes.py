@@ -20,11 +20,15 @@ Two independent computations of the class are provided:
   is still within the target's; the n-edge classes (the linear and quadratic
   coefficients force those counts) are filtered on the quartic coefficient
   and brute-forced, never through the ``indpoly`` recursion.  Mode
-  ``unicyclic_multisets`` scans multisets of connected unicyclic graphs,
-  pruning components whose polynomial does not divide the target exactly.
+  ``unicyclic_multisets`` scans multisets of connected unicyclic graphs.
   The components come from one necklace walk per cycle length, which
   serves every component size at once and carries each component's
-  polynomial down the walk packed into an int (``intpoly.pack``); a
+  polynomial down the walk packed into an int (``intpoly.pack``).  The
+  scan multiplies packed polynomials and compares the product with the
+  packed target.  Pruned, it tables the divisors of I(C_n, x) with
+  constant term 1, the products of subsets of its irreducible factors
+  f_m, packed alike: a component is kept, and a partial multiset
+  extended, only while its packed product is in that table.  A
   component's graph is built only when its multiset matches the target,
   and ``indpoly`` of the union then confirms it.
 
@@ -64,15 +68,7 @@ from .graphs import (
     union,
 )
 from .indpoly import PolyCache, indpoly, indpoly_bruteforce
-from .intpoly import (
-    ONE,
-    IntPoly,
-    cycle_poly,
-    pack,
-    poly_divides,
-    poly_exact_div,
-    unpack,
-)
+from .intpoly import IntPoly, cycle_poly, pack
 
 MAX_ALL_GRAPHS_N = 13
 MAX_UNICYCLIC_N = 21
@@ -626,7 +622,7 @@ def _necklace_graph(c: int, trees: tuple[RootedTree, ...]) -> Graph:
 #: A connected unicyclic graph as the necklace walk yields it and the
 #: unicyclic pool holds it: (vertex count, cycle length, rooted trees hung
 #: on the cycle positions, independence polynomial).
-Necklace = tuple[int, int, tuple[RootedTree, ...], IntPoly | int]
+Necklace = tuple[int, int, tuple[RootedTree, ...], int]
 
 
 def unicyclic_necklaces(budgets: dict[int, Optional[int]],
@@ -760,64 +756,58 @@ def enumerate_unicyclic(v: int) -> Iterator[Graph]:
 # --- exhaustive search: unicyclic multisets ----------------------------------
 
 
-def _divisor_products(n: int) -> list[IntPoly]:
-    """Products of nonempty subsets of the irreducible cycle factors of
-    I(C_n, x): every integer divisor with constant term 1."""
-    fs = [f_poly_by_division(m) for m in divisors(n) if m >= 3]
-    products = []
+def _divisor_table(n: int, bits: int) -> dict[int, tuple[int, int]]:
+    """Every divisor of I(C_n, x) with constant term 1, other than 1, packed
+    in `bits`-wide slots and mapped to (v, m): the vertex count v of a
+    component with that polynomial and its branch weight
+    m = wt - [cycle is a triangle], from matching the cubic coefficient.
+
+    The factors f_m are distinct and irreducible, so these divisors are the
+    products of the nonempty subsets of them.  I(C_n, x) has only negative
+    real roots, so every such product has nonnegative coefficients no larger
+    than I(C_n, x)'s, and the packed products are exact.
+    """
+    fs = [pack(f_poly_by_division(m), bits) for m in divisors(n) if m >= 3]
+    mask = (1 << bits) - 1
+    table = {}
     for r in range(1, len(fs) + 1):
         for combo in itertools.combinations(fs, r):
-            p = ONE
-            for f in combo:
-                p = p * f
-            products.append(p)
-    return products
-
-
-def _component_weight_classes(n: int) -> dict[int, set[int]]:
-    """Per component size v, the admissible branch-weight values
-    (wt - [cycle is a triangle]) a component with a target-dividing
-    polynomial can have, from matching the cubic coefficient."""
-    classes: dict[int, set[int]] = {}
-    for q in _divisor_products(n):
-        v = q[1]
-        m = q[3] - math.comb(v, 3) + v * (v - 2) - v
-        classes.setdefault(v, set()).add(m)
-    return classes
+            q = math.prod(combo)
+            v = q >> bits & mask
+            cubic = q >> 3 * bits & mask
+            table[q] = (v, cubic - math.comb(v, 3) + v * (v - 2) - v)
+    return table
 
 
 def _unicyclic_component_pool(
-    n: int, target: IntPoly, prune: bool, stats: dict[str, int]
+    n: int, table: Optional[dict[int, tuple[int, int]]], stats: dict[str, int]
 ) -> list[Necklace]:
     """Candidate connected components for members of the class of C_n,
-    largest sizes first, each size's in the walk's order.  Their
-    polynomials are packed in (n+1)-bit slots for the unpruned scan, which
-    only multiplies, and unpacked for the pruned one, which divides."""
-    bits = n + 1
-    if prune:
-        classes = _component_weight_classes(n)
-        budgets = {v: max(ws) + 1 for v, ws in classes.items() if max(ws) >= -1}
-    else:
+    largest sizes first, each size's in the walk's order.  With a divisor
+    table (`_divisor_table`), only components whose packed polynomial is in
+    it are kept; without one, every component of up to n vertices."""
+    if table is None:
         budgets = dict.fromkeys(range(3, n + 1))
-    by_size: dict[int, list[Necklace]] = {v: [] for v in budgets}
-    for comp in unicyclic_necklaces(budgets, bits):
-        by_size[comp[0]].append(comp)
-    pool: list[Necklace] = []
-    for v in sorted(by_size, reverse=True):
-        stats["components_generated"] += len(by_size[v])
-        if not prune:
-            pool += by_size[v]
-            continue
-        for _, c, trees, poly in by_size[v]:
+    else:
+        classes: dict[int, set[int]] = {}
+        for v, m in table.values():
+            classes.setdefault(v, set()).add(m)
+        budgets = {v: max(ms) + 1 for v, ms in classes.items() if max(ms) >= -1}
+    pool = list(unicyclic_necklaces(budgets, n + 1))
+    stats["components_generated"] += len(pool)
+    if table is not None:
+        kept = []
+        for comp in pool:
+            v, c, trees, poly = comp
+            if poly in table:
+                kept.append(comp)
+                continue
             wt = sum(t.attach_weight for t in trees) - (1 if c == 3 else 0)
-            if wt not in classes[v]:
-                stats["components_pruned_census"] += 1
-                continue
-            poly = unpack(poly, bits)
-            if not poly_divides(poly, target):
-                stats["components_pruned_divisor"] += 1
-                continue
-            pool.append((v, c, trees, poly))
+            stats["components_pruned_census" if wt not in classes[v]
+                  else "components_pruned_divisor"] += 1
+        pool = kept
+    # stable, so each size keeps the walk's order
+    pool.sort(key=lambda comp: comp[0], reverse=True)
     stats["components_admitted"] = len(pool)
     return pool
 
@@ -825,10 +815,12 @@ def _unicyclic_component_pool(
 def _exhaustive_unicyclic(n: int, cache: PolyCache, prune: bool,
                           stats: dict[str, int]) -> list[ClassMember]:
     target = cycle_poly(n)
+    goal = pack(target, n + 1)
+    table = _divisor_table(n, n + 1) if prune else None
     stats.setdefault("components_generated", 0)
     stats.setdefault("components_pruned_census", 0)
     stats.setdefault("components_pruned_divisor", 0)
-    pool = _unicyclic_component_pool(n, target, prune, stats)
+    pool = _unicyclic_component_pool(n, table, stats)
     stats.setdefault("multisets_tested", 0)
     members: dict[bytes, ClassMember] = {}
 
@@ -839,17 +831,14 @@ def _exhaustive_unicyclic(n: int, cache: PolyCache, prune: bool,
             member = _make_member(g, n, target)
             members.setdefault(member.key, member)
 
-    # pruned: divide the target down to ONE, skipping components that do
-    # not divide it; unpruned: multiply packed polynomials up from 1 and
-    # compare with the packed target at the end
-    start, goal = (target, ONE) if prune else (1, pack(target, n + 1))
     # the pool runs from large components to small: fits[r] is the first
     # entry on at most r vertices, so no level walks past the larger ones
     fits = [bisect.bisect_left(pool, -r, key=lambda comp: -comp[0])
             for r in range(n + 1)]
 
-    def descend(idx: int, remaining: int, acc: IntPoly | int,
-                chosen: list[Necklace]):
+    def descend(idx: int, remaining: int, acc: int, chosen: list[Necklace]):
+        # acc: the packed product of the chosen components' polynomials;
+        # pruned, every partial product must divide the target
         if remaining == 0:
             stats["multisets_tested"] += 1
             if acc == goal:
@@ -860,17 +849,14 @@ def _exhaustive_unicyclic(n: int, cache: PolyCache, prune: bool,
             left = remaining - comp[0]
             if left == 1 or left == 2:
                 continue
-            if not prune:
-                nxt = acc * comp[3]
-            elif poly_divides(comp[3], acc):
-                nxt = poly_exact_div(acc, comp[3])
-            else:
+            nxt = acc * comp[3]
+            if prune and nxt not in table:
                 continue
             chosen.append(comp)
             descend(k, left, nxt, chosen)
             chosen.pop()
 
-    descend(0, n, start, [])
+    descend(0, n, 1, [])
     return [members[k] for k in sorted(members)]
 
 

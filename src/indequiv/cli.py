@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .canon import CanonicalRefusalError, canonical_graph
+from .canon import canonical_graph
 from .classes import (
     ClassReport,
     describe_graph,
@@ -31,13 +31,7 @@ from .indpoly import PolyCache, indpoly
 from .intpoly import ExactDivisionError, IntPoly, cycle_poly
 from .ledger import run_ledger
 
-_DOMAIN_ERRORS = (
-    GraphSpecError,
-    Graph6Error,
-    CanonicalRefusalError,
-    ExactDivisionError,
-    ValueError,
-)
+_DOMAIN_ERRORS = (ValueError, ExactDivisionError)
 
 
 def _format_flag(parser: argparse.ArgumentParser):

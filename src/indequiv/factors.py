@@ -20,13 +20,13 @@ agreement is a meaningful cross-check, enforced by the test suite.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 from .intpoly import (
     ExactDivisionError,
     IntPoly,
     ONE,
     cycle_poly,
-    eval_float,
     poly_exact_div,
     primitive_part,
 )
@@ -59,21 +59,15 @@ def divisors(n: int) -> list[int]:
     return out
 
 
-_cyclotomic_memo: dict[int, IntPoly] = {}
-
-
+@cache
 def cyclotomic_poly(m: int) -> IntPoly:
     """The m-th cyclotomic polynomial, by exact division of x^m - 1."""
     if m < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {m}")
-    hit = _cyclotomic_memo.get(m)
-    if hit is not None:
-        return hit
     poly = IntPoly([-1] + [0] * (m - 1) + [1])
     for d in range(1, m):
         if m % d == 0:
             poly = poly_exact_div(poly, cyclotomic_poly(d))
-    _cyclotomic_memo[m] = poly
     return poly
 
 
@@ -140,9 +134,7 @@ def _compose_x_minus_2(g: IntPoly) -> IntPoly:
     return acc
 
 
-_f_division_memo: dict[int, IntPoly] = {}
-
-
+@cache
 def f_poly_by_division(n: int) -> IntPoly:
     """f_n by exact division of I(C_n, x) by the f_m of proper divisors.
 
@@ -152,22 +144,17 @@ def f_poly_by_division(n: int) -> IntPoly:
     _require_odd(n)
     if n == 1:
         return ONE
-    hit = _f_division_memo.get(n)
-    if hit is not None:
-        return hit
     poly = cycle_poly(n)
     for m in divisors(n):
         if 3 <= m < n:
             poly = poly_exact_div(poly, f_poly_by_division(m))
-    _f_division_memo[n] = poly
     return poly
 
 
 def factorize_cycle_poly(n: int, route: str = "division") -> dict[int, IntPoly]:
     """Factor I(C_n, x) into {m: f_m for m | n, m >= 3}, verifying the
     product reassembles I(C_n, x) exactly."""
-    _require_odd(n)
-    if n < 3:
+    if n < 3 or n % 2 == 0:
         raise ValueError(f"factorization is defined for odd n >= 3, got {n}")
     make = {"division": f_poly_by_division, "transform": f_poly_by_transform}.get(route)
     if make is None:
@@ -211,6 +198,9 @@ def root_residual(f: IntPoly, n: int, m: int | None = None) -> float:
 
     The residual scale is max|coeff| * max(1, |c_i|)^deg, so the
     large-magnitude root near the cos = -1 end does not drown the check.
+    It is applied before evaluating, so nothing overflows a float: the
+    coefficients are divided by max|coeff| exactly, and f(c) / c^deg is
+    evaluated by Horner in 1/c where |c| > 1.
     """
     roots = root_values(n)
     if m is not None:
@@ -218,13 +208,17 @@ def root_residual(f: IntPoly, n: int, m: int | None = None) -> float:
             raise ValueError(f"{m} is not a positive divisor of {n}")
         roots = [r for r in roots if r[2] == n // m]
     coeff_scale = max(abs(c) for c in f.coeffs)
-    return max(
-        (
-            abs(eval_float(f, c)) / (coeff_scale * max(1.0, abs(c)) ** max(f.degree, 0))
-            for _, c, _ in roots
-        ),
-        default=0.0,
-    )
+    scaled = [c / coeff_scale for c in f.coeffs]
+
+    def scaled_residual(c: float) -> float:
+        # Horner from the top coefficient in c, or from the bottom one in 1/c
+        coeffs, y = (scaled[::-1], c) if abs(c) <= 1.0 else (scaled, 1.0 / c)
+        acc = 0.0
+        for a in coeffs:
+            acc = acc * y + a
+        return abs(acc)
+
+    return max((scaled_residual(c) for _, c, _ in roots), default=0.0)
 
 
 def _require_odd(n: int):

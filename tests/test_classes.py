@@ -657,13 +657,18 @@ def test_independent_quad_counter(rng):
             assert _count_independent_quads(adj, n, want - 1) >= want - 1
 
 
-def test_census_prefilter_admits_exactly_the_dividing_components():
-    # the degree-census prefilter must keep precisely the components whose
-    # polynomial divides the target, compared against unfiltered enumeration
-    from indequiv.classes import _unicyclic_component_pool, _necklace_graph
+@pytest.mark.parametrize("n", [9, pytest.param(15, marks=pytest.mark.slow)])
+def test_census_prefilter_admits_exactly_the_dividing_components(n):
+    # the pruned pool must keep precisely the components whose polynomial
+    # divides the target, compared against long division of the unfiltered
+    # enumeration
+    from indequiv.classes import (
+        _divisor_table,
+        _necklace_graph,
+        _unicyclic_component_pool,
+    )
     from indequiv.intpoly import cycle_poly, poly_divides
 
-    n = 9
     target = cycle_poly(n)
     unfiltered = set()
     for necklaces in walk_necklaces(dict.fromkeys(range(3, n + 1)), n + 1).values():
@@ -676,6 +681,28 @@ def test_census_prefilter_admits_exactly_the_dividing_components():
         "components_pruned_census": 0,
         "components_pruned_divisor": 0,
     }
-    pool = _unicyclic_component_pool(n, target, True, stats)
+    pool = _unicyclic_component_pool(n, _divisor_table(n, n + 1), stats)
     filtered = {canonical_key(_necklace_graph(c, trees)) for _, c, trees, _ in pool}
     assert filtered == unfiltered
+
+
+@pytest.mark.parametrize("n", range(3, 46, 2))
+def test_divisor_table_holds_every_divisor_once(n):
+    # the products of the 2^k - 1 nonempty subsets of the k factors f_m are
+    # distinct, and each divides I(C_n, x) exactly, with its vertex count
+    # as the linear coefficient
+    from indequiv.classes import _divisor_table
+    from indequiv.factors import divisors
+    from indequiv.intpoly import poly_exact_div
+
+    bits = n + 1
+    table = _divisor_table(n, bits)
+    k = sum(1 for m in divisors(n) if m >= 3)
+    assert len(table) == 2 ** k - 1
+    target = cycle_poly(n)
+    for packed, (v, _) in table.items():
+        q = unpack(packed, bits)
+        assert pack(q, bits) == packed
+        assert q[0] == 1 and q[1] == v
+        poly_exact_div(target, q)
+    assert pack(target, bits) in table

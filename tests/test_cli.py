@@ -55,9 +55,21 @@ def test_unknown_subcommand_exits_2(capsys):
 
 
 def test_domain_error_exits_1(capsys):
-    code, _, err = run_cli(capsys, "factor", "8")
-    assert code == 1
-    assert "error" in err
+    for n in ("8", "4", "1", "0", "-1"):
+        code, _, err = run_cli(capsys, "factor", n)
+        assert code == 1
+        assert f"error: factorization is defined for odd n >= 3, got {n}" in err
+
+
+@pytest.mark.parametrize("n", [205, 1501])
+def test_factor_root_check_passes_beyond_float_range(capsys, n):
+    # max|coeff| * |c|^deg overflows a float from n = 205 on, and the
+    # coefficients of I(C_n, x) themselves from n = 1483
+    code, out, _ = run_cli(capsys, "factor", str(n), "--format", "json")
+    assert code == 0
+    check = json.loads(out)["root_check"]
+    assert check["pass"]
+    assert check["max_residual"] < 1e-15
 
 
 def test_factor_json(capsys):
