@@ -3,7 +3,7 @@ odd-cycle polynomials, and complete independence equivalence classes."""
 
 from .canon import (
     CanonicalRefusalError,
-    canonical_graph,
+    canonical_form,
     canonical_key,
     is_isomorphic,
 )

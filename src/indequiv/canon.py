@@ -145,8 +145,12 @@ def canonical_key(g: Graph) -> bytes:
 
 
 def canonical_form(g: Graph) -> tuple[bytes, Graph]:
-    """(canonical_key(g), canonical_graph(g)) from one canonical labelling
-    of each component."""
+    """(canonical_key(g), a canonically labelled copy of g) from one
+    canonical labelling of each component.
+
+    Two isomorphic graphs yield identical labelled copies, so the copy is
+    the stable form for serialization.
+    """
     comps = []
     for vs in component_vertex_sets(g):
         sub = g.subgraph(vs)
@@ -159,15 +163,6 @@ def canonical_form(g: Graph) -> tuple[bytes, Graph]:
     header = g.n.to_bytes(2, "big") + len(comps).to_bytes(2, "big")
     key = header + b"".join(k for k, _ in comps)
     return key, union(*(cg for _, cg in comps))
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """A canonically labelled representative of g's isomorphism class.
-
-    Two isomorphic graphs yield identical (labelled) results, so this is the
-    stable form for serialization.
-    """
-    return canonical_form(g)[1]
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

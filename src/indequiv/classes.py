@@ -39,7 +39,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -432,8 +431,8 @@ def _structured_candidates(n: int, stats: dict[str, int]) -> list[Candidate]:
     return candidates
 
 
-def structured_class_search(n: int, cache: Optional[PolyCache] = None,
-                            seed: Optional[int] = None) -> ClassReport:
+def structured_class_search(n: int,
+                            cache: Optional[PolyCache] = None) -> ClassReport:
     """The class of C_n via the structural narrowing.
 
     Every candidate is tested exactly against I(C_n, x) by its closed-form
@@ -459,14 +458,10 @@ def structured_class_search(n: int, cache: Optional[PolyCache] = None,
         "divisor_multisets_scanned": 0,
     }
     members: dict[bytes, ClassMember] = {}
-    candidates = _structured_candidates(n, stats)
-    if seed is not None:
-        random.Random(seed).shuffle(candidates)
-
     bits = n + 1
     p = _path_table(n, bits)
     packed_target = pack(target, bits)
-    for candidate in candidates:
+    for candidate in _structured_candidates(n, stats):
         stats["candidates_generated"] += 1
         if _candidate_size(candidate) != n:
             raise AssertionError(

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .canon import canonical_graph
+from .canon import canonical_form
 from .classes import (
     ClassReport,
     describe_graph,
@@ -80,11 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_class.add_argument(
         "--no-prune", action="store_true",
         help="disable divisor pruning (--mode unicyclic only)",
-    )
-    p_class.add_argument(
-        "--seed", type=int, default=None,
-        help="shuffle candidate processing order (--mode structured only; "
-             "results are order-independent)",
     )
     p_class.add_argument(
         "--threads", type=_worker_count, default=1,
@@ -191,7 +186,7 @@ def _cmd_factor(args, cache: PolyCache) -> int:
 
 def _cmd_class(args, cache: PolyCache) -> int:
     if args.mode == "structured":
-        report = structured_class_search(args.n, cache, seed=args.seed)
+        report = structured_class_search(args.n, cache)
     elif args.mode == "all-graphs":
         report = exhaustive_class_search(args.n, "all_graphs", cache)
     else:
@@ -208,7 +203,7 @@ def _cmd_class(args, cache: PolyCache) -> int:
 def _cmd_unicyclic(args, cache: PolyCache) -> int:
     graphs = enumerate_unicyclic(args.v)
     rows = [
-        {"graph6": emit_graph6(canonical_graph(g)), "description": describe_graph(g)}
+        {"graph6": emit_graph6(canonical_form(g)[1]), "description": describe_graph(g)}
         for g in graphs
     ]
     rows.sort(key=lambda r: r["graph6"])
@@ -264,13 +259,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "class":
-        # a flag that acts in one mode only is refused in the others
-        for flag, given, mode in (("--seed", args.seed is not None, "structured"),
-                                  ("--no-prune", args.no_prune, "unicyclic")):
-            if given and args.mode != mode:
-                parser.error(f"{flag} applies only to --mode {mode}, "
-                             f"not --mode {args.mode}")
+    if args.command == "class" and args.no_prune and args.mode != "unicyclic":
+        # --no-prune acts in one mode only and is refused in the others
+        parser.error("--no-prune applies only to --mode unicyclic, "
+                     f"not --mode {args.mode}")
     try:
         return _COMMANDS[args.command](args, PolyCache())
     except (GraphSpecError, Graph6Error) as exc:

@@ -137,26 +137,28 @@ def delete_edge_closure(g: Graph, e: tuple[int, int]) -> tuple[Graph, Graph]:
     return g_minus_e, delete_vertices(g, set(g.neighbors(u)) | set(g.neighbors(v)))
 
 
+def component_masks(mask: int, adj: tuple[int, ...]) -> list[int]:
+    """Connected components of the subgraph induced by mask, as masks."""
+    comps = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        comps.append(comp)
+        mask ^= comp
+    return comps
+
+
 def component_vertex_sets(g: Graph) -> list[list[int]]:
     """Vertex sets of the connected components, each sorted, in order of
     smallest vertex."""
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+    return [_bits(c) for c in component_masks((1 << g.n) - 1, g._adj)]
 
 
 def is_connected(g: Graph) -> bool:

@@ -6,21 +6,23 @@ oracle) and a vertex-deletion recursion (the fast path).  The recursion uses
     I(G, x) = I(G - u, x) + x * I(G - N[u], x)
 
 over vertex bitmasks of the input graph.  Each mask is split into connected
-components by bitmask search, a component pivots on a maximum-degree vertex
-(ties broken by the smallest label), and component polynomials are memoised
-by their labelled vertex mask for the duration of one top-level call.  The
-memo holds each polynomial packed into one int (`intpoly.pack`, one
-(n+1)-bit slot per coefficient for an n-vertex input), so a product is one
-integer product and x·I a shift; the result is unpacked once, on return.
-No graphs are built and no canonical labelling is involved.  The recursion
-runs on an explicit stack, so a deep component cannot exhaust Python's
-recursion limit.
+components by bitmask search (`graphs.component_masks`), a component pivots
+on a maximum-degree vertex (ties broken by the smallest label), and
+component polynomials are memoised by their labelled vertex mask for the
+duration of one top-level call.  The memo holds each polynomial packed into
+one int (`intpoly.pack`, one (n+1)-bit slot per coefficient for an n-vertex
+input), so a product is one integer product and x·I a shift; the result is
+unpacked once, on return.  No graphs are built and no canonical labelling
+is involved.  The recursion runs on an explicit stack, so a deep component
+cannot exhaust Python's recursion limit.
 
 A component whose in-mask degrees are all at most 2 is a path or a cycle,
 and it is finished at once instead of being split further.  Its polynomial
-comes from a per-call table of path polynomials filled by the same identity
-applied at an end vertex, I(P_j) = I(P_{j-1}) + x·I(P_{j-2}), and a k-cycle
-is I(P_{k-1}) + x·I(P_{k-3}) by deleting one of its vertices.  The binomial
+is run up from I(P_0) and I(P_1), keeping only the last two terms, by the
+same identity applied at an end vertex, I(P_j) = I(P_{j-1}) + x·I(P_{j-2}),
+and a k-cycle is I(P_{k-1}) + x·I(P_{k-3}) by deleting one of its vertices.
+A chain of k vertices thus costs k packed additions and holds two packed
+polynomials, whatever else the call has computed.  The binomial
 closed forms `intpoly.cycle_poly`/`path_poly` are not used, so they stay an
 independent check of this module.
 """
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .graphs import Graph, delete_edge_closure
+from .graphs import Graph, component_masks, delete_edge_closure
 from .intpoly import IntPoly, X, unpack
 
 #: Largest graph the brute force accepts: its DP table has 2^n entries.
@@ -65,17 +67,16 @@ class PolyCache:
     Each `indpoly` call keeps its own component memo and drops it on return;
     nothing is shared between calls or stored on disk.  `misses` counts the
     components (of two or more vertices) a call computed, each of which
-    became a memo entry (`entries`), and `hits` the times such a component
-    was needed again within the same call.
+    became a memo entry, and `hits` the times such a component was needed
+    again within the same call.
     """
 
     def __init__(self):
         self.hits = 0
         self.misses = 0
-        self.entries = 0
 
     def stats(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "entries": self.entries}
+        return {"hits": self.hits, "misses": self.misses}
 
 
 def indpoly(g: Graph, cache: Optional[PolyCache] = None) -> IntPoly:
@@ -83,10 +84,8 @@ def indpoly(g: Graph, cache: Optional[PolyCache] = None) -> IntPoly:
     bits = g.n + 1
     k1 = 1 << bits | 1  # I(K_1, x), packed
     adj = g.adjacency_masks()
-    parts = _components((1 << g.n) - 1, adj)
+    parts = component_masks((1 << g.n) - 1, adj)
     memo: dict[int, int] = {}
-    # paths[j] is I(P_j), packed; grown as longer chains turn up
-    paths = [1, k1]
     # component -> its pivot's (G - v, G - N[v]) components, while those
     # are still being computed further up the stack
     pending: dict[int, tuple[list[int], list[int]]] = {}
@@ -105,15 +104,20 @@ def indpoly(g: Graph, cache: Optional[PolyCache] = None) -> IntPoly:
                 # a path or, when every degree is 2, a cycle
                 stack.pop()
                 k = comp.bit_count()
-                while len(paths) <= k:
-                    paths.append(paths[-1] + (paths[-2] << bits))
-                memo[comp] = (paths[k - 1] + (paths[k - 3] << bits)
-                              if total == 2 * k else paths[k])
+                a, b = 1, k1  # I(P_0), I(P_1), run up to I(P_{k-2}), I(P_{k-1})
+                for _ in range(k - 2):
+                    a, b = b, b + (a << bits)
+                # I(C_k) = I(P_{k-1}) + x·I(P_{k-3}) = 2·I(P_{k-1}) - I(P_{k-2}).
+                # A packed int is its polynomial at x = 2^bits, so 2b - a is
+                # I(C_k) packed, with no borrow between slots: I(P_{k-2}) <=
+                # I(P_{k-1}) coefficientwise, and every coefficient is below
+                # 2^k < 2^bits.
+                memo[comp] = 2 * b - a if total == 2 * k else b + (a << bits)
                 continue
             bit = 1 << v
             split = (
-                _components(comp ^ bit, adj),
-                _components(comp & ~(adj[v] | bit), adj),
+                component_masks(comp ^ bit, adj),
+                component_masks(comp & ~(adj[v] | bit), adj),
             )
             pending[comp] = split
             stack.extend(c for side in split for c in side if c & (c - 1))
@@ -125,26 +129,7 @@ def indpoly(g: Graph, cache: Optional[PolyCache] = None) -> IntPoly:
     if cache is not None:
         cache.hits += hits
         cache.misses += len(memo)
-        cache.entries += len(memo)
     return unpack(_product(parts, memo, k1), bits)
-
-
-def _components(mask: int, adj: tuple[int, ...]) -> list[int]:
-    """Connected components of the subgraph induced by mask, as masks."""
-    comps = []
-    while mask:
-        comp = frontier = mask & -mask
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & mask & ~comp
-            comp |= frontier
-        comps.append(comp)
-        mask ^= comp
-    return comps
 
 
 def _pivot(comp: int, adj: tuple[int, ...]) -> tuple[int, int, int]:
@@ -153,9 +138,8 @@ def _pivot(comp: int, adj: tuple[int, ...]) -> tuple[int, int, int]:
 
     A connected comp of maximum degree at most 2 is a chain: a path, or a
     cycle when the degree sum is twice its size.  `indpoly` finishes chains
-    from its table of path polynomials, so it asks for no pivot on them.
-    That table comes from the deletion identity at an end vertex, not from
-    the binomial closed forms, which stay an independent check.
+    by the deletion identity at an end vertex, so it asks for no pivot on
+    them; the binomial closed forms stay an independent check.
     """
     best = -1
     pivot = 0

@@ -6,6 +6,7 @@ is the empty tuple and has degree -1.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterable
@@ -261,8 +262,10 @@ def path_coeff(n: int, k: int) -> int:
     return math.comb(n - k + 1, k) if n - k + 1 >= k else 0
 
 
+@functools.cache
 def cycle_poly(n: int) -> IntPoly:
-    """Independence polynomial of the cycle C_n from the closed form."""
+    """Independence polynomial of the cycle C_n from the closed form, built
+    once per n (`factor n` asks for it three times)."""
     return IntPoly(cycle_coeff(n, k) for k in range(n // 2 + 1))
 
 

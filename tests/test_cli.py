@@ -104,8 +104,12 @@ def test_class_structured_json(capsys):
 def test_class_json_byte_stable(capsys):
     _, first, _ = run_cli(capsys, "class", "9", "--format", "json")
     _, second, _ = run_cli(capsys, "class", "9", "--format", "json")
-    _, seeded, _ = run_cli(capsys, "class", "9", "--format", "json", "--seed", "7")
-    assert first == second == seeded
+    assert first == second
+    # candidate order cannot move the output, so no flag reorders it
+    with pytest.raises(SystemExit) as exc:
+        main(["class", "9", "--format", "json", "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -281,20 +285,21 @@ def test_threads_below_one_is_a_usage_error(capsys, argv, bad):
     ("class", "9", "--no-prune"),
     ("class", "9", "--mode", "structured", "--no-prune"),
     ("class", "7", "--mode", "all-graphs", "--no-prune"),
+    ("class", "9", "--seed", "3"),
 ])
 def test_threads_and_seed_only_where_they_act(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    if argv[0] != "class":
+    if "--no-prune" not in argv:
+        # no subcommand takes --seed, and only `class` takes --threads
         assert "unrecognized arguments" in err
     else:
-        # `class` accepts both flags, but each only in the mode it acts in
-        flag, mode = (("--seed", "structured") if "--seed" in argv
-                      else ("--no-prune", "unicyclic"))
+        # `class` accepts --no-prune, but only in the mode it acts in
         given = argv[argv.index("--mode") + 1] if "--mode" in argv else "structured"
-        assert f"{flag} applies only to --mode {mode}, not --mode {given}" in err
+        assert ("--no-prune applies only to --mode unicyclic, "
+                f"not --mode {given}") in err
 
 
 def test_ledger_entries_pass_quickly():

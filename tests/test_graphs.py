@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from indequiv.canon import (
     CanonicalRefusalError,
-    canonical_graph,
+    canonical_form,
     canonical_key,
     is_isomorphic,
 )
@@ -17,6 +17,8 @@ from indequiv.graphs import (
     GraphSpecError,
     a_graph,
     b_graph,
+    component_masks,
+    component_vertex_sets,
     cycle,
     d_graph,
     degree_histogram,
@@ -223,12 +225,35 @@ def test_canonical_key_equal_iff_networkx_isomorphic(data):
         assert same == nx.is_isomorphic(as_nx(g), as_nx(h))
 
 
-def test_canonical_graph_is_stable(rng):
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_components_match_networkx(data):
+    # sparse draws, n = 0 and isolated vertices included; the whole vertex
+    # set through component_vertex_sets, and a drawn subset through the
+    # mask splitter it is a view of
+    nx = pytest.importorskip("networkx")
+    n = data.draw(st.integers(0, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph(n, edges)
+    h = nx.Graph(edges)
+    h.add_nodes_from(range(n))
+    assert component_vertex_sets(g) == sorted(
+        sorted(c) for c in nx.connected_components(h))
+    keep = [v for v in range(n) if data.draw(st.booleans())]
+    comps = component_masks(sum(1 << v for v in keep), g.adjacency_masks())
+    assert [[v for v in range(n) if c >> v & 1] for c in comps] == sorted(
+        sorted(c) for c in nx.connected_components(h.subgraph(keep)))
+
+
+def test_canonical_form_is_stable(rng):
     g = union(d_graph(6), cycle(4))
     perm = list(range(g.n))
     rng.shuffle(perm)
-    assert canonical_graph(g) == canonical_graph(g.relabel(perm))
-    assert emit_graph6(canonical_graph(g)) == emit_graph6(canonical_graph(g.relabel(perm)))
+    key, labelled = canonical_form(g)
+    assert canonical_form(g.relabel(perm)) == (key, labelled)
+    assert key == canonical_key(g)
+    assert emit_graph6(labelled) == emit_graph6(canonical_form(g.relabel(perm))[1])
 
 
 def test_canonical_refusal():

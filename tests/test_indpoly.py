@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -197,7 +198,7 @@ def test_chain_components_are_single_memo_entries():
     for g in (cycle(9), path(9)):
         cache = PolyCache()
         indpoly(g, cache)
-        assert cache.stats() == {"hits": 0, "misses": 1, "entries": 1}
+        assert cache.stats() == {"hits": 0, "misses": 1}
 
 
 def test_deep_components_do_not_exhaust_the_recursion_limit():
@@ -216,6 +217,29 @@ def test_deep_components_do_not_exhaust_the_recursion_limit():
 
 def test_long_cycle_matches_the_closed_form():
     assert indpoly(cycle(1000)) == cycle_poly(1000)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 200])
+def test_chains_match_the_closed_forms(k):
+    # alone, and beside other vertices, so the slots are wider than the chain
+    assert indpoly(path(k)) == path_poly(k)
+    assert indpoly(union(path(k), cycle(5))) == path_poly(k) * cycle_poly(5)
+    if k >= 3:
+        assert indpoly(cycle(k)) == cycle_poly(k)
+        assert indpoly(union(cycle(k), path(k))) == cycle_poly(k) * path_poly(k)
+
+
+def test_long_chain_holds_two_packed_terms():
+    # a chain is run up from two terms, not from a table of every shorter
+    # path: a table for C_1500 peaks near 113 MB
+    g = cycle(1500)
+    tracemalloc.start()
+    try:
+        indpoly(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_edgeless_graph_fills_the_packed_slots():
@@ -292,4 +316,4 @@ def test_engine_reports_memo_lookups(case):
     cache = PolyCache()
     indpoly(g, cache)
     assert cache.hits + cache.misses > 0
-    assert cache.stats()["entries"] == cache.misses
+    assert cache.stats() == {"hits": cache.hits, "misses": cache.misses}
