@@ -23,14 +23,16 @@ Two independent computations of the class are provided:
   ``unicyclic_multisets`` scans multisets of connected unicyclic graphs.
   The components come from one necklace walk per cycle length, which
   serves every component size at once and carries each component's
-  polynomial down the walk packed into an int (``intpoly.pack``).  The
-  scan multiplies packed polynomials and compares the product with the
-  packed target.  Pruned, it tables the divisors of I(C_n, x) with
-  constant term 1, the products of subsets of its irreducible factors
-  f_m, packed alike: a component is kept, and a partial multiset
-  extended, only while its packed product is in that table.  A
-  component's graph is built only when its multiset matches the target,
-  and ``indpoly`` of the union then confirms it.
+  polynomial down the walk packed into an int (``intpoly.pack``), and
+  hands each component over as it finds it: one on all n vertices is
+  tested on the spot, one on n - 1 or n - 2 is in no multiset, and only
+  those on at most n - 3 vertices are pooled.  The scan multiplies packed
+  polynomials and compares the product with the packed target.  Pruned,
+  it tables the divisors of I(C_n, x) with constant term 1, the products
+  of subsets of its irreducible factors f_m, packed alike: a component is
+  kept, and a partial multiset extended, only while its packed product is
+  in that table.  A component's graph is built only when its multiset
+  matches the target, and ``indpoly`` of the union then confirms it.
 
 The two must agree; the test suite enforces it.
 """
@@ -42,7 +44,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .canon import (
     MAX_COMPONENT_VERTICES,
@@ -70,10 +72,15 @@ from .indpoly import PolyCache, indpoly, indpoly_bruteforce
 from .intpoly import IntPoly, cycle_poly, pack
 
 MAX_ALL_GRAPHS_N = 13
-MAX_UNICYCLIC_N = 21
-# the unpruned unicyclic scan holds every component of up to n vertices:
-# n = 17 took 33 s and 479 MB on a 2-core x86-64 machine, and the pool grows
-# about 7.9x per step of 2 in n, so n = 19 and 21 would need tens of GB
+# the pruned unicyclic scan confirms {C_n, D_n} at every odd 23 <= n <= 37 in
+# about 3 s in all on a 2-core x86-64 machine (n = 27: 0.6 s, n = 33: 2.1 s,
+# every other n under 0.15 s); n = 39 took 5.4 s and 58 MB, and n = 45 21 s
+# and 128 MB, in process
+MAX_UNICYCLIC_N = 37
+# the unpruned unicyclic scan generates every component of up to n vertices
+# and pools those of up to n - 3: n = 17 (1,363,817 components) took 17 s
+# and 130 MB on a 2-core x86-64 machine, in process.  The cap is one of
+# time: n = 19 holds about 7.9x more components, some two minutes' work
 MAX_UNPRUNED_UNICYCLIC_N = 17
 # `unicyclic <v>` labels every graph and keeps one row per graph: v = 15
 # (110,381 graphs) took 55 s and 144 MB on a 2-core x86-64 machine, and each
@@ -620,11 +627,12 @@ def _necklace_graph(c: int, trees: tuple[RootedTree, ...]) -> Graph:
 Necklace = tuple[int, int, tuple[RootedTree, ...], int]
 
 
-def unicyclic_necklaces(budgets: dict[int, Optional[int]],
-                        bits: int) -> Iterator[Necklace]:
-    """Connected unicyclic graphs, one per isomorphism class, on each vertex
-    count v in budgets whose total attach weight is at most budgets[v]
-    (None: unbounded), with I(G, x) packed in `bits`-wide slots.
+def unicyclic_necklaces(budgets: dict[int, Optional[int]], bits: int,
+                        emit: Callable[[Necklace], None]) -> None:
+    """Hand emit the connected unicyclic graphs, one per isomorphism class,
+    on each vertex count v in budgets whose total attach weight is at most
+    budgets[v] (None: unbounded), with I(G, x) packed in `bits`-wide slots.
+    Each graph is handed over as the walk finds it; none is kept.
 
     Each class appears once, as the dihedral-minimal sequence of tree shapes
     around its unique cycle.  One walk per cycle length c fills the
@@ -640,9 +648,9 @@ def unicyclic_necklaces(budgets: dict[int, Optional[int]],
 
     The walk carries the cycle's two-state sweep down the positions (first
     root out or in, current root out or in), so each graph's polynomial
-    costs one combine at the last position.  Graphs come out by c, and for
-    each v in a fixed order: per position, tree sizes ascending, then
-    shapes.
+    costs one combine at the last position.  Graphs come out by c, and
+    within c in the walk's order, which puts each v's in nested order: per
+    position, tree sizes ascending, then shapes.
     """
     served = sorted(budgets)
     top = served[-1]
@@ -674,7 +682,6 @@ def unicyclic_necklaces(budgets: dict[int, Optional[int]],
     for c in range(3, top + 1):
         seq = [""] * c
         trees: list[Optional[RootedTree]] = [None] * c
-        found: list[Necklace] = []
 
         def walk(pos: int, used: int, weight: int, p: int,
                  a: int, b: int, a2: int, b2: int):
@@ -729,23 +736,26 @@ def unicyclic_necklaces(budgets: dict[int, Optional[int]],
                         k = rev.find(lead, k + 1)
                     if k < c:
                         continue
-                    found.append((v, c, kept + (t,), whole * w0 + a * w1))
+                    emit((v, c, kept + (t,), whole * w0 + a * w1))
 
         # the state before position 0 makes its update (w0, 0, 0, w1)
         walk(0, c, 0, 1, 0, 1, 1, -1)
-        yield from found
 
 
-def enumerate_unicyclic(v: int) -> Iterator[Graph]:
-    """All connected unicyclic graphs on v vertices up to isomorphism, each
-    built as the necklace walk yields it."""
+def enumerate_unicyclic(v: int, emit: Callable[[Graph], None]) -> None:
+    """Hand emit every connected unicyclic graph on v vertices up to
+    isomorphism, each built as the necklace walk finds it."""
     if not 3 <= v <= MAX_UNICYCLIC_LIST_V:
         raise ValueError(
             f"unicyclic enumeration supports 3 <= v <= {MAX_UNICYCLIC_LIST_V} "
             f"(MAX_UNICYCLIC_LIST_V), got {v}"
         )
-    return (_necklace_graph(c, trees)
-            for _, c, trees, _ in unicyclic_necklaces({v: None}, v + 1))
+
+    def build(necklace: Necklace):
+        _, c, trees, _ = necklace
+        emit(_necklace_graph(c, trees))
+
+    unicyclic_necklaces({v: None}, v + 1, build)
 
 
 # --- exhaustive search: unicyclic multisets ----------------------------------
@@ -774,13 +784,14 @@ def _divisor_table(n: int, bits: int) -> dict[int, tuple[int, int]]:
     return table
 
 
-def _unicyclic_component_pool(
-    n: int, table: Optional[dict[int, tuple[int, int]]], stats: dict[str, int]
-) -> list[Necklace]:
-    """Candidate connected components for members of the class of C_n,
-    largest sizes first, each size's in the walk's order.  With a divisor
-    table (`_divisor_table`), only components whose packed polynomial is in
-    it are kept; without one, every component of up to n vertices."""
+def _admit_components(n: int, table: Optional[dict[int, tuple[int, int]]],
+                      stats: dict[str, int],
+                      emit: Callable[[Necklace], None]) -> None:
+    """Hand emit the candidate connected components for members of the
+    class of C_n as the necklace walk finds them, counting them in stats.
+    With a divisor table (`_divisor_table`), only components whose packed
+    polynomial is in it are admitted; without one, every component of up
+    to n vertices."""
     if table is None:
         budgets = dict.fromkeys(range(3, n + 1))
     else:
@@ -788,23 +799,19 @@ def _unicyclic_component_pool(
         for v, m in table.values():
             classes.setdefault(v, set()).add(m)
         budgets = {v: max(ms) + 1 for v, ms in classes.items() if max(ms) >= -1}
-    pool = list(unicyclic_necklaces(budgets, n + 1))
-    stats["components_generated"] += len(pool)
-    if table is not None:
-        kept = []
-        for comp in pool:
-            v, c, trees, poly = comp
-            if poly in table:
-                kept.append(comp)
-                continue
-            wt = sum(t.attach_weight for t in trees) - (1 if c == 3 else 0)
-            stats["components_pruned_census" if wt not in classes[v]
-                  else "components_pruned_divisor"] += 1
-        pool = kept
-    # stable, so each size keeps the walk's order
-    pool.sort(key=lambda comp: comp[0], reverse=True)
-    stats["components_admitted"] = len(pool)
-    return pool
+
+    def admit(comp: Necklace):
+        stats["components_generated"] += 1
+        v, c, trees, poly = comp
+        if table is None or poly in table:
+            stats["components_admitted"] += 1
+            emit(comp)
+            return
+        wt = sum(t.attach_weight for t in trees) - (1 if c == 3 else 0)
+        stats["components_pruned_census" if wt not in classes[v]
+              else "components_pruned_divisor"] += 1
+
+    unicyclic_necklaces(budgets, n + 1, admit)
 
 
 def _exhaustive_unicyclic(n: int, cache: PolyCache, prune: bool,
@@ -812,11 +819,9 @@ def _exhaustive_unicyclic(n: int, cache: PolyCache, prune: bool,
     target = cycle_poly(n)
     goal = pack(target, n + 1)
     table = _divisor_table(n, n + 1) if prune else None
-    stats.setdefault("components_generated", 0)
-    stats.setdefault("components_pruned_census", 0)
-    stats.setdefault("components_pruned_divisor", 0)
-    pool = _unicyclic_component_pool(n, table, stats)
-    stats.setdefault("multisets_tested", 0)
+    stats.update(components_generated=0, components_pruned_census=0,
+                 components_pruned_divisor=0, components_admitted=0,
+                 multisets_tested=0)
     members: dict[bytes, ClassMember] = {}
 
     def accept(chosen: list[Necklace]):
@@ -826,8 +831,24 @@ def _exhaustive_unicyclic(n: int, cache: PolyCache, prune: bool,
             member = _make_member(g, n, target)
             members.setdefault(member.key, member)
 
-    # the pool runs from large components to small: fits[r] is the first
-    # entry on at most r vertices, so no level walks past the larger ones
+    # A component on all n vertices is a one-part multiset, tested as it
+    # arrives.  One on n - 1 or n - 2 vertices is in no multiset, since no
+    # cycle fits in the 1 or 2 vertices left.  Only the rest are pooled.
+    pool: list[Necklace] = []
+
+    def take(comp: Necklace):
+        if comp[0] == n:
+            stats["multisets_tested"] += 1
+            if comp[3] == goal:
+                accept([comp])
+        elif comp[0] <= n - 3:
+            pool.append(comp)
+
+    _admit_components(n, table, stats, take)
+    # stable, so each size keeps the walk's order; the pool runs from large
+    # components to small: fits[r] is the first entry on at most r
+    # vertices, so no level walks past the larger ones
+    pool.sort(key=lambda comp: comp[0], reverse=True)
     fits = [bisect.bisect_left(pool, -r, key=lambda comp: -comp[0])
             for r in range(n + 1)]
 

@@ -201,11 +201,10 @@ def _cmd_class(args, cache: PolyCache) -> int:
 
 
 def _cmd_unicyclic(args, cache: PolyCache) -> int:
-    graphs = enumerate_unicyclic(args.v)
-    rows = [
+    rows = []
+    enumerate_unicyclic(args.v, lambda g: rows.append(
         {"graph6": emit_graph6(canonical_form(g)[1]), "description": describe_graph(g)}
-        for g in graphs
-    ]
+    ))
     rows.sort(key=lambda r: r["graph6"])
     if args.format == "json":
         _emit({"v": args.v, "count": len(rows), "graphs": rows})

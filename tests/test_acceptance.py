@@ -187,6 +187,19 @@ def test_criterion_3_oracle_equivalence(structured_reports, shared_cache):
     )
 
 
+@pytest.mark.slow
+def test_criterion_3_pruned_unicyclic_oracle_to_37(structured_reports,
+                                                   shared_cache):
+    # past the unpruned scan's reach, the pruned one still confirms the
+    # structured search's {C_n, D_n}, up to MAX_UNICYCLIC_N
+    started = time.perf_counter()
+    for n in range(23, 38, 2):
+        oracle = exhaustive_class_search(n, "unicyclic_multisets", shared_cache)
+        assert oracle.member_keys() == structured_reports[n].member_keys(), n
+    announce("criterion-3 pruned unicyclic oracle 23..37",
+             f"{time.perf_counter() - started:.1f}s")
+
+
 def test_criterion_4_dual_route_factor_agreement():
     started = time.perf_counter()
     for n in range(3, 100, 2):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -127,20 +128,27 @@ def brute_force_unicyclic_count(v: int) -> int:
     return len(seen)
 
 
+def unicyclic_graphs(v):
+    """The graphs that enumerate_unicyclic hands over, in order."""
+    graphs = []
+    enumerate_unicyclic(v, graphs.append)
+    return graphs
+
+
 def test_enumerate_unicyclic_small():
-    assert len(list(enumerate_unicyclic(3))) == 1
-    assert len(list(enumerate_unicyclic(4))) == 2
-    assert len(list(enumerate_unicyclic(5))) == 5
+    assert len(unicyclic_graphs(3)) == 1
+    assert len(unicyclic_graphs(4)) == 2
+    assert len(unicyclic_graphs(5)) == 5
 
 
 @pytest.mark.parametrize("v", range(3, 8))
 def test_enumerate_unicyclic_against_brute_force(v):
-    assert len(list(enumerate_unicyclic(v))) == brute_force_unicyclic_count(v)
+    assert len(unicyclic_graphs(v)) == brute_force_unicyclic_count(v)
 
 
 def test_enumerate_unicyclic_no_duplicates():
     for v in range(3, 10):
-        graphs = list(enumerate_unicyclic(v))
+        graphs = unicyclic_graphs(v)
         keys = {canonical_key(g) for g in graphs}
         assert len(keys) == len(graphs)
         assert all(g.n == v and g.n_edges == v for g in graphs)
@@ -148,17 +156,21 @@ def test_enumerate_unicyclic_no_duplicates():
 
 def test_enumerate_unicyclic_bounds():
     with pytest.raises(ValueError):
-        enumerate_unicyclic(2)
+        unicyclic_graphs(2)
     with pytest.raises(ValueError, match="MAX_UNICYCLIC_LIST_V"):
-        enumerate_unicyclic(16)
+        unicyclic_graphs(16)
 
 
 def walk_necklaces(budgets, bits):
     """The necklace walk's graphs by size, each as (c, trees, I(G, x))
     with the polynomial unpacked."""
     found = {v: [] for v in budgets}
-    for v, c, trees, poly in unicyclic_necklaces(budgets, bits):
+
+    def keep(necklace):
+        v, c, trees, poly = necklace
         found[v].append((c, trees, unpack(poly, bits)))
+
+    unicyclic_necklaces(budgets, bits, keep)
     return found
 
 
@@ -187,7 +199,9 @@ A001429 = (1, 2, 5, 13, 33, 89, 240, 657, 1806, 5026, 13999, 39260, 110381,
     for v in range(3, 17)
 ])
 def test_necklace_counts_match_oeis(v):
-    assert sum(1 for _ in unicyclic_necklaces({v: None}, v + 1)) == A001429[v - 3]
+    found = []
+    unicyclic_necklaces({v: None}, v + 1, found.append)
+    assert len(found) == A001429[v - 3]
 
 
 def _dihedral_minimal(seq: tuple) -> bool:
@@ -465,6 +479,21 @@ def test_unpruned_oracle_stats_match_independent_counts(n):
         assert stats["multisets_tested"] == 129327
 
 
+def test_unpruned_oracle_pools_only_what_can_share_a_multiset():
+    # the walk's output streams through the oracle: components on 13
+    # vertices are tested and those on 12 or 11 dropped as they arrive, so
+    # only the 1,040 on at most 10 vertices are pooled; pooling all 21,871
+    # peaks near 5.5 MB.  A first run fills the tree caches.
+    exhaustive_class_search(13, "unicyclic_multisets", prune=False)
+    tracemalloc.start()
+    try:
+        exhaustive_class_search(13, "unicyclic_multisets", prune=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_divisor_pruning_changes_stats_not_members():
     pruned = exhaustive_class_search(9, "unicyclic_multisets", prune=True)
     full = exhaustive_class_search(9, "unicyclic_multisets", prune=False)
@@ -477,7 +506,7 @@ def test_exhaustive_guards():
     with pytest.raises(ValueError):
         exhaustive_class_search(14, "all_graphs")
     with pytest.raises(ValueError):
-        exhaustive_class_search(23, "unicyclic_multisets")
+        exhaustive_class_search(39, "unicyclic_multisets")
     with pytest.raises(ValueError):
         exhaustive_class_search(8, "unicyclic_multisets")
     with pytest.raises(ValueError):
@@ -535,7 +564,7 @@ def test_describe_graph_names_only_true_family_members():
     count = 0
     for v in range(3, 11):
         family = _family_keys(v)
-        for g in enumerate_unicyclic(v):
+        for g in unicyclic_graphs(v):
             count += 1
             name = describe_graph(g)
             if name.startswith("graph("):
@@ -668,9 +697,9 @@ def test_census_prefilter_admits_exactly_the_dividing_components(n):
     # divides the target, compared against long division of the unfiltered
     # enumeration
     from indequiv.classes import (
+        _admit_components,
         _divisor_table,
         _necklace_graph,
-        _unicyclic_component_pool,
     )
     from indequiv.intpoly import cycle_poly, poly_divides
 
@@ -683,10 +712,12 @@ def test_census_prefilter_admits_exactly_the_dividing_components(n):
                 unfiltered.add(canonical_key(g))
     stats = {
         "components_generated": 0,
+        "components_admitted": 0,
         "components_pruned_census": 0,
         "components_pruned_divisor": 0,
     }
-    pool = _unicyclic_component_pool(n, _divisor_table(n, n + 1), stats)
+    pool = []
+    _admit_components(n, _divisor_table(n, n + 1), stats, pool.append)
     filtered = {canonical_key(_necklace_graph(c, trees)) for _, c, trees, _ in pool}
     assert filtered == unfiltered
 

@@ -122,6 +122,8 @@ GOLDEN = Path(__file__).parent / "golden"
     (("class", "7", "--mode", "all-graphs", "--threads", "2"),
      "class_7_all_graphs.json"),
     (("class", "21", "--mode", "unicyclic"), "class_21_unicyclic.json"),
+    (("class", "13", "--mode", "unicyclic", "--no-prune"),
+     "class_13_unicyclic_no_prune.json"),
 ])
 def test_json_output_matches_golden_bytes(capsys, argv, name):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
