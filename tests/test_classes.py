@@ -482,8 +482,8 @@ def test_unpruned_oracle_stats_match_independent_counts(n):
 def test_unpruned_oracle_pools_only_what_can_share_a_multiset():
     # the walk's output streams through the oracle: components on 13
     # vertices are tested and those on 12 or 11 dropped as they arrive, so
-    # only the 1,040 on at most 10 vertices are pooled; pooling all 21,871
-    # peaks near 5.5 MB.  A first run fills the tree caches.
+    # only the 1,040 on at most 10 vertices are pooled (a pool of all
+    # 21,871 would peak near 5.5 MB).  A first run fills the tree caches.
     exhaustive_class_search(13, "unicyclic_multisets", prune=False)
     tracemalloc.start()
     try:
