@@ -43,7 +43,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 from .canon import (
@@ -78,9 +77,9 @@ MAX_ALL_GRAPHS_N = 13
 # and 128 MB, in process
 MAX_UNICYCLIC_N = 37
 # the unpruned unicyclic scan generates every component of up to n vertices
-# and pools those of up to n - 3: n = 17 (1,363,817 components) took 17 s
-# and 130 MB on a 2-core x86-64 machine, in process.  The cap is one of
-# time: n = 19 holds about 7.9x more components, some two minutes' work
+# and pools those of up to n - 3: n = 17 (1,363,817 components) took 13-17 s
+# and 97 MB peak RSS on a 2-core x86-64 machine, in process.  The cap is one
+# of time: n = 19 holds about 7.9x more components, some two minutes' work
 MAX_UNPRUNED_UNICYCLIC_N = 17
 # `unicyclic <v>` labels every graph and keeps one row per graph: v = 15
 # (110,381 graphs) took 55 s and 144 MB on a 2-core x86-64 machine, and each
@@ -500,117 +499,69 @@ def structured_class_search(n: int,
 
 
 class RootedTree:
-    """A rooted tree up to isomorphism: its children, sorted by shape, and
-    its canonical nested shape tuple.
+    """A rooted tree up to isomorphism: `last`, a child of largest shape,
+    and `base`, the tree with the root's other children (both None for a
+    single vertex), and `shape`, its canonical nested tuple.
 
-    Carries the vertex count and the branch-vertex weights that the
-    degree-census prefilter uses.  Its independence polynomials are packed
-    per slot width by `_packed_pairs`.  Build trees through `_tree`, which
-    keeps one object per shape.
+    Carries the branch-vertex weights that the degree-census prefilter uses
+    and (w0, w1), the independence polynomials of the tree with its root
+    excluded and included, packed in `bits`-wide slots as by `intpoly.pack`.
     """
 
-    __slots__ = ("children", "shape", "size", "inner_weight", "attach_weight")
+    __slots__ = ("base", "last", "shape", "inner_weight", "attach_weight",
+                 "w0", "w1")
 
-    def __init__(self, children: tuple["RootedTree", ...]):
-        self.children = children
-        self.shape = tuple(c.shape for c in children)
-        self.size = 1 + sum(c.size for c in children)
-        degree = len(children)
-        self.inner_weight = math.comb(degree, 2) + sum(
-            c.inner_weight for c in children
-        )
+    def __init__(self, base: Optional["RootedTree"],
+                 last: Optional["RootedTree"], bits: int):
+        self.base = base
+        self.last = last
+        if base is None:
+            self.shape = ()
+            self.inner_weight = self.attach_weight = 0
+            self.w0, self.w1 = 1, 1 << bits
+            return
+        self.shape = base.shape + (last.shape,)
+        # the root's C(degree, 2) grows by the base's degree
+        self.inner_weight = base.attach_weight + last.inner_weight
         # on a cycle vertex the root's C(degree, 2) becomes C(degree + 1, 2)
-        self.attach_weight = self.inner_weight + degree
+        self.attach_weight = self.inner_weight + len(self.shape)
+        self.w0 = base.w0 * (last.w0 + last.w1)
+        self.w1 = base.w1 * last.w0
 
     def edges(self, root_label: int, next_label: int,
               out: list[tuple[int, int]]) -> int:
         """Append this tree's edges using dense labels; returns the next
         free label."""
-        for child in self.children:
+        if self.base is not None:
+            next_label = self.base.edges(root_label, next_label, out)
             out.append((root_label, next_label))
-            next_label = child.edges(next_label, next_label + 1, out)
+            next_label = self.last.edges(next_label, next_label + 1, out)
         return next_label
 
 
-_shape_registry: dict[tuple, RootedTree] = {}
+def _rooted_trees(caps: list, bits: int) -> list[list[RootedTree]]:
+    """trees[s], for 1 <= s < len(caps): the rooted trees on s vertices up
+    to isomorphism whose inner weight is at most caps[s], in shape order,
+    packed in `bits`-wide slots.  caps must not rise with s.
 
-
-def _tree(children: list[RootedTree]) -> RootedTree:
-    """The one tree whose root has these children, in any order."""
-    children.sort(key=lambda t: t.shape)
-    shape = tuple(c.shape for c in children)
-    tree = _shape_registry.get(shape)
-    if tree is None:
-        tree = _shape_registry[shape] = RootedTree(tuple(children))
-    return tree
-
-
-def _partitions(total: int, max_part: int,
-                max_parts: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of total into at most max_parts parts <= max_part,
-    non-increasing."""
-    if total == 0:
-        yield ()
-        return
-    if total > max_part * max_parts:
-        return
-    for part in range(min(total, max_part), 0, -1):
-        for rest in _partitions(total - part, part, max_parts - 1):
-            yield (part,) + rest
-
-
-@lru_cache(maxsize=None)
-def _rooted_trees(size: int, inner_cap: Optional[int]) -> tuple[RootedTree, ...]:
-    """All rooted trees on `size` vertices up to isomorphism, optionally
-    restricted to inner branch weight <= inner_cap, in shape order."""
-    if size == 1:
-        return (_tree([]),)
-    # the root's own C(degree, 2) must be within the cap
-    max_degree = (size - 1 if inner_cap is None
-                  else (1 + math.isqrt(1 + 8 * inner_cap)) // 2)
-    out = []
-    for partition in _partitions(size - 1, size - 1, max_degree):
-        degree = len(partition)
-        base = math.comb(degree, 2)
-        groups = []
-        for part, copies in sorted(
-            ((p, sum(1 for q in partition if q == p)) for p in set(partition))
-        ):
-            child_cap = None if inner_cap is None else inner_cap - base
-            pool = _rooted_trees(part, child_cap)
-            groups.append(list(itertools.combinations_with_replacement(pool, copies)))
-        for combo in itertools.product(*groups):
-            children = list(itertools.chain.from_iterable(combo))
-            inner = base + sum(c.inner_weight for c in children)
-            if inner_cap is not None and inner > inner_cap:
-                continue
-            out.append(_tree(children))
-    out.sort(key=lambda t: t.shape)
-    return tuple(out)
-
-
-def _packed_pairs(trees: list[RootedTree],
-                  bits: int) -> dict[RootedTree, tuple[int, int]]:
-    """(w0, w1) for each tree: the independence polynomials of the tree with
-    its root excluded and included, w0 = prod(c0 + c1) and w1 = x * prod(c0)
-    over the children's pairs, packed in `bits`-wide slots as by
-    `intpoly.pack`."""
-    pairs: dict[RootedTree, tuple[int, int]] = {}
-
-    def pair(t: RootedTree) -> tuple[int, int]:
-        found = pairs.get(t)
-        if found is None:
-            w0, w1 = 1, 1 << bits
-            for child in t.children:
-                c0, c1 = pair(child)
-                w0 *= c0 + c1
-                w1 *= c0
-            found = pairs[t] = (w0, w1)
-        return found
-
-    for t in trees:
-        pair(t)
-    return pairs
+    Each tree is made once, from its base and its last child.  Weight never
+    falls as a child is added, so every base and child of a kept tree is
+    kept too."""
+    trees = [[], [RootedTree(None, None, bits)]]
+    for s in range(2, len(caps)):
+        made = []
+        for j in range(1, s):
+            for base in trees[s - j]:
+                room = caps[s] - base.attach_weight
+                floor = () if base.last is None else base.last.shape
+                for child in reversed(trees[j]):
+                    if child.shape < floor:
+                        break
+                    if child.inner_weight <= room:
+                        made.append(RootedTree(base, child, bits))
+        made.sort(key=lambda t: t.shape)
+        trees.append(made)
+    return trees
 
 
 def _necklace_graph(c: int, trees: tuple[RootedTree, ...]) -> Graph:
@@ -660,16 +611,14 @@ def unicyclic_necklaces(budgets: dict[int, Optional[int]], bits: int,
     reach = [-1] * (top + 2)
     for u in range(top, 2, -1):
         reach[u] = max(reach[u + 1], limits.get(u, -1))
-    pools = {}
-    for s in range(1, top - 1):
-        # a tree on s vertices hangs in a graph on s + 2 vertices or more
-        cap = reach[s + 2]
-        pool = _rooted_trees(s, None if cap == math.inf else cap)
-        pools[s] = [t for t in pool if t.attach_weight <= cap]
+    # a tree on s vertices hangs in a graph on s + 2 vertices or more; the
+    # table is the call's own, freed when it returns
+    by_size = _rooted_trees(reach[2:top + 1], bits)
+    pools = {s: [t for t in by_size[s] if t.attach_weight <= reach[s + 2]]
+             for s in range(1, top - 1)}
     # shapes compare as one-character codes, in shape order
     order = sorted(itertools.chain(*pools.values()), key=lambda t: t.shape)
     code = {t: chr(r) for r, t in enumerate(order)}
-    pairs = _packed_pairs(order, bits)
     tables = {}
     for s, pool in pools.items():
         # sufmin[i]: the least weight in pool[i:], for the exact early exit
@@ -677,7 +626,7 @@ def unicyclic_necklaces(budgets: dict[int, Optional[int]], bits: int,
         for i in range(len(pool) - 2, -1, -1):
             sufmin[i] = min(sufmin[i], sufmin[i + 1])
         tables[s] = ([code[t] for t in pool], sufmin,
-                     [(code[t], t.attach_weight, *pairs[t], t) for t in pool])
+                     [(code[t], t.attach_weight, t.w0, t.w1, t) for t in pool])
 
     for c in range(3, top + 1):
         seq = [""] * c

@@ -27,6 +27,7 @@ from .intpoly import (
     IntPoly,
     ONE,
     cycle_poly,
+    pack,
     poly_exact_div,
     primitive_part,
 )
@@ -160,10 +161,15 @@ def factorize_cycle_poly(n: int, route: str = "division") -> dict[int, IntPoly]:
     if make is None:
         raise ValueError(f"unknown route {route!r}")
     factors = {m: make(m) for m in divisors(n) if m >= 3}
-    product = ONE
-    for f in factors.values():
-        product = product * f
-    if product != cycle_poly(n):
+    target = cycle_poly(n)
+    # no coefficient of a product of polynomials with nonnegative
+    # coefficients exceeds the product of their coefficient sums, so in
+    # slots this wide the packed product is exact
+    bits = max(sum(target.coeffs),
+               math.prod(sum(f.coeffs) for f in factors.values())).bit_length()
+    if (any(c < 0 for f in factors.values() for c in f.coeffs)
+            or math.prod(pack(f, bits) for f in factors.values())
+            != pack(target, bits)):
         raise ExactDivisionError(
             f"factor product does not reassemble the cycle polynomial at n={n}"
         )

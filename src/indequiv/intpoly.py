@@ -141,12 +141,12 @@ def pack(p: IntPoly, bits: int) -> int:
     for every such intermediate.  Outside that range a carry crosses a slot
     boundary silently, so pack refuses a coefficient that does not fit.
     """
-    v = 0
-    for c in reversed(p.coeffs):
+    for c in p.coeffs:
         if c < 0 or c >> bits:
             raise ValueError(f"coefficient {c} does not fit a {bits}-bit slot")
-        v = v << bits | c
-    return v
+    # one binary numeral, top slot first, which int() reads in linear time
+    return int("".join(format(c, f"0{bits}b") for c in reversed(p.coeffs))
+               or "0", 2)
 
 
 def unpack(v: int, bits: int) -> IntPoly:

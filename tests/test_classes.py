@@ -32,6 +32,8 @@ from indequiv.graphs import (
     b_graph,
     cycle,
     d_graph,
+    delete_closed_neighborhood,
+    delete_vertex,
     e_graph,
     k4_minus_e,
     named_graph,
@@ -216,13 +218,18 @@ def _dihedral_minimal(seq: tuple) -> bool:
     return True
 
 
+def shapes(trees):
+    return tuple(t.shape for t in trees)
+
+
 def filtered_necklaces(v, budget):
     """Every sequence of rooted trees with v vertices in all, on every cycle
     length, in nested order (position 0 first; per position, sizes
     ascending, then shapes), kept iff its shapes are dihedral-minimal and
-    its branch weight is within budget."""
+    its branch weight is within budget; each as (c, its shapes)."""
     cap = math.inf if budget is None else budget
-    pools = {s: [t for t in _rooted_trees(s, None) if t.attach_weight <= cap]
+    trees = _rooted_trees([math.inf] * (v - 1), v + 1)
+    pools = {s: [t for t in trees[s] if t.attach_weight <= cap]
              for s in range(1, v - 1)}
     out = []
 
@@ -238,8 +245,8 @@ def filtered_necklaces(v, budget):
     for c in range(3, v + 1):
         for trees in sequences(0, c, v - c, ()):
             if (sum(t.attach_weight for t in trees) <= cap
-                    and _dihedral_minimal(tuple(t.shape for t in trees))):
-                out.append((c, trees))
+                    and _dihedral_minimal(shapes(trees))):
+                out.append((c, shapes(trees)))
     return out
 
 
@@ -254,9 +261,63 @@ def test_necklaces_equal_the_leaf_filter_in_order(budget):
     assert set(merged) == set(budgets)
     for v, b in budgets.items():
         want = filtered_necklaces(v, b)
-        assert [(c, trees) for c, trees, _ in merged[v]] == want
+        assert [(c, shapes(trees)) for c, trees, _ in merged[v]] == want
         alone = walk_necklaces({v: b}, v + 1)[v]
-        assert [(c, trees) for c, trees, _ in alone] == want
+        assert [(c, shapes(trees)) for c, trees, _ in alone] == want
+
+
+# OEIS A000081: rooted trees on s nodes, s = 1, 2, ...
+A000081 = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973)
+
+
+def ahu_shape(edges, root):
+    """The nested-tuple (AHU) encoding of the tree on these edges rooted
+    at root: the sorted encodings of the root's subtrees."""
+    adj = {}
+    for u, w in edges:
+        adj.setdefault(u, []).append(w)
+        adj.setdefault(w, []).append(u)
+
+    def encode(v, parent):
+        return tuple(sorted(encode(w, v) for w in adj.get(v, ()) if w != parent))
+
+    return encode(root, None)
+
+
+def test_rooted_tree_table_against_independent_oracles():
+    bits = 11
+    trees = _rooted_trees([math.inf] * 15, bits)
+    assert [len(trees[s]) for s in range(1, 15)] == list(A000081)
+    for s in range(1, 15):
+        made = [t.shape for t in trees[s]]
+        assert made == sorted(set(made))  # distinct, in shape order
+        for t in trees[s]:
+            edges = []
+            assert t.edges(0, 1, edges) == s
+            assert ahu_shape(edges, 0) == t.shape
+            # edges run parent to child: inner weight sums C(children, 2)
+            children = [0] * s
+            for u, _ in edges:
+                children[u] += 1
+            assert t.inner_weight == sum(math.comb(k, 2) for k in children)
+            assert t.attach_weight == t.inner_weight + children[0]
+            if s <= 10:
+                g = Graph(s, edges)
+                assert t.w0 == pack(indpoly(delete_vertex(g, 0)), bits)
+                assert t.w1 == pack(
+                    indpoly(delete_closed_neighborhood(g, 0)).shift(1), bits)
+
+
+@pytest.mark.parametrize("caps", [
+    *([cap] * 13 for cap in range(4)),
+    [9, 9, 9, 8, 8, 6, 5, 5, 3, 2, 2, 1, 0],
+])
+def test_capped_rooted_trees_are_the_uncapped_filtered_by_weight(caps):
+    full = _rooted_trees([math.inf] * len(caps), 13)
+    capped = _rooted_trees(caps, 13)
+    for s in range(1, len(caps)):
+        assert [t.shape for t in capped[s]] == [
+            t.shape for t in full[s] if t.inner_weight <= caps[s]]
 
 
 # --- class searches -----------------------------------------------------------
@@ -483,8 +544,7 @@ def test_unpruned_oracle_pools_only_what_can_share_a_multiset():
     # the walk's output streams through the oracle: components on 13
     # vertices are tested and those on 12 or 11 dropped as they arrive, so
     # only the 1,040 on at most 10 vertices are pooled (a pool of all
-    # 21,871 would peak near 5.5 MB).  A first run fills the tree caches.
-    exhaustive_class_search(13, "unicyclic_multisets", prune=False)
+    # 21,871 would peak near 5.5 MB).
     tracemalloc.start()
     try:
         exhaustive_class_search(13, "unicyclic_multisets", prune=False)

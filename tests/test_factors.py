@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from indequiv import factors
 from indequiv.factors import (
     ROOT_TOLERANCE,
     cyclotomic_poly,
@@ -15,6 +16,7 @@ from indequiv.factors import (
     root_values,
 )
 from indequiv.intpoly import (
+    ExactDivisionError,
     IntPoly,
     cycle_poly,
     eval_float,
@@ -97,6 +99,21 @@ def test_factorize_cycle_poly():
         factorize_cycle_poly(8)
     with pytest.raises(ValueError):
         factorize_cycle_poly(9, route="guess")
+
+
+@pytest.mark.parametrize("fake", [
+    # a negative coefficient, and one wider than I(C_9, 1) = 76
+    {3: IntPoly([1, 3]), 9: IntPoly([1, -6, 9, 3])},
+    {3: IntPoly([1, 3]), 9: IntPoly([1, 1 << 7, 9, 3])},
+    # the base-2^7 digits of a divisor of I(C_9, 2^7) and of its cofactor:
+    # their product equals I(C_9, x) at x = 2^7, but its coefficients
+    # overflow 7-bit slots
+    {3: IntPoly([5]), 9: IntPoly([77, 78, 56, 108, 1])},
+])
+def test_factors_that_do_not_reassemble_are_refused(monkeypatch, fake):
+    monkeypatch.setattr(factors, "f_poly_by_division", fake.__getitem__)
+    with pytest.raises(ExactDivisionError, match="reassemble"):
+        factorize_cycle_poly(9)
 
 
 def test_factor_polys_are_unicyclic():
