@@ -162,12 +162,12 @@ def factorize_cycle_poly(n: int, route: str = "division") -> dict[int, IntPoly]:
         raise ValueError(f"unknown route {route!r}")
     factors = {m: make(m) for m in divisors(n) if m >= 3}
     target = cycle_poly(n)
-    # no coefficient of a product of polynomials with nonnegative
-    # coefficients exceeds the product of their coefficient sums, so in
-    # slots this wide the packed product is exact
+    # no coefficient of nonzero polynomials with nonnegative coefficients,
+    # or of their product, exceeds the product of their coefficient sums,
+    # so in slots this wide the packing is exact
     bits = max(sum(target.coeffs),
                math.prod(sum(f.coeffs) for f in factors.values())).bit_length()
-    if (any(c < 0 for f in factors.values() for c in f.coeffs)
+    if (any(not f or min(f.coeffs) < 0 for f in factors.values())
             or math.prod(pack(f, bits) for f in factors.values())
             != pack(target, bits)):
         raise ExactDivisionError(

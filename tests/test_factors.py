@@ -102,8 +102,10 @@ def test_factorize_cycle_poly():
 
 
 @pytest.mark.parametrize("fake", [
-    # a negative coefficient, and one wider than I(C_9, 1) = 76
+    # a negative coefficient, a zero factor, and a coefficient wider than
+    # I(C_9, 1) = 76
     {3: IntPoly([1, 3]), 9: IntPoly([1, -6, 9, 3])},
+    {3: IntPoly(), 9: IntPoly([1, 1 << 20])},
     {3: IntPoly([1, 3]), 9: IntPoly([1, 1 << 7, 9, 3])},
     # the base-2^7 digits of a divisor of I(C_9, 2^7) and of its cofactor:
     # their product equals I(C_9, x) at x = 2^7, but its coefficients
