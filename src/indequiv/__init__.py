@@ -5,7 +5,6 @@ from .canon import (
     CanonicalRefusalError,
     canonical_form,
     canonical_key,
-    is_isomorphic,
 )
 from .census import SubgraphCensus, subgraph_census
 from .classes import (
@@ -48,7 +47,6 @@ from .graphs import (
 from .gspec import parse_spec
 from .indpoly import (
     PolyCache,
-    independence_number,
     indpoly,
     indpoly_bruteforce,
     indpoly_edge_rule_check,

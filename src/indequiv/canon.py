@@ -163,7 +163,3 @@ def canonical_form(g: Graph) -> tuple[bytes, Graph]:
     header = g.n.to_bytes(2, "big") + len(comps).to_bytes(2, "big")
     key = header + b"".join(k for k, _ in comps)
     return key, union(*(cg for _, cg in comps))
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    return canonical_key(g) == canonical_key(h)

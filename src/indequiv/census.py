@@ -29,7 +29,7 @@ class SubgraphCensus:
 def subgraph_census(g: Graph) -> SubgraphCensus:
     n = g.n
     adj = g.adjacency_masks()
-    edges = g.sorted_edges()
+    edges = sorted(g.edges)
 
     e2 = 0
     for i, (u, v) in enumerate(edges):

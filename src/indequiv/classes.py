@@ -56,17 +56,13 @@ from .factors import divisors, f_poly_by_division
 from .graph6 import emit_graph6
 from .graphs import (
     Graph,
-    a_graph,
-    b_graph,
     component_vertex_sets,
-    cycle,
-    d_graph,
     degree_histogram,
-    e_graph,
     is_unicyclic,
     max_degree,
     union,
 )
+from .gspec import parse_spec
 from .indpoly import PolyCache, indpoly, indpoly_bruteforce
 from .intpoly import IntPoly, cycle_poly, pack
 
@@ -286,11 +282,6 @@ def _make_member(g: Graph, n: int, poly: IntPoly) -> ClassMember:
 #: family one of C, D, A, B, E.  ("C", (3,)), ("A", (2, 1)) is C_3 + A(2,1).
 Candidate = tuple[tuple[str, tuple[int, ...]], ...]
 
-_FAMILY_BUILDERS = {
-    "C": cycle, "D": d_graph, "A": a_graph, "B": b_graph, "E": e_graph,
-}
-
-
 def _candidate_name(candidate: Candidate) -> str:
     """The graph specification of a candidate, e.g. C3+C5+A(3,1)."""
     return "+".join(
@@ -304,11 +295,6 @@ def _candidate_size(candidate: Candidate) -> int:
         ps[0] if kind in "CD" else family_vertex_count(kind, ps)
         for kind, ps in candidate
     )
-
-
-def _candidate_graph(candidate: Candidate) -> Graph:
-    parts = [_FAMILY_BUILDERS[kind](*ps) for kind, ps in candidate]
-    return parts[0] if len(parts) == 1 else union(*parts)
 
 
 def _path_table(n: int, bits: int) -> list[int]:
@@ -455,8 +441,6 @@ def structured_class_search(n: int,
             f"(MAX_COMPONENT_VERTICES, the canonical-key limit), got {n}"
         )
     started = time.perf_counter()
-    if cache is None:
-        cache = PolyCache()
     target = cycle_poly(n)
     stats = {
         "candidates_generated": 0,
@@ -476,7 +460,7 @@ def structured_class_search(n: int,
         stats["polynomial_tests"] += 1
         if _closed_form(candidate, p, bits) != packed_target:
             continue
-        g = _candidate_graph(candidate)
+        g = parse_spec(_candidate_name(candidate))
         if indpoly(g, cache) != target:
             raise AssertionError(
                 f"the closed form of candidate {_candidate_name(candidate)} "
@@ -855,12 +839,12 @@ def _count_independent_quads(adj: list[int], n: int, limit: int) -> int:
 
 
 def _graph_levels(
-    n: int, s_bound: Optional[int] = None
+    n: int, s_bound: float
 ) -> Iterator[dict[bytes, tuple[Graph, int]]]:
     """Graphs on n vertices by edge count, one labelled representative per
     isomorphism class.  Level m maps the canonical key of each m-edge class
     to (representative, S), with S = sum C(deg,2) - triangles, and holds
-    only classes with S <= s_bound when a bound is given.
+    only classes with S <= s_bound (math.inf keeps them all).
 
     Level m + 1 adds each non-edge to each representative of level m.
     Adding an edge never lowers S, so every edge-deleted subgraph of a
@@ -887,7 +871,7 @@ def _graph_levels(
                 # vertices, minus one per triangle it completes
                 s2 = (s + adj[u].bit_count() + adj[v].bit_count()
                       - (adj[u] & adj[v]).bit_count())
-                if s_bound is not None and s2 > s_bound:
+                if s2 > s_bound:
                     continue
                 h = Graph(n, [*g.edges, (u, v)])
                 grown.setdefault(canonical_key(h), (h, s2))
@@ -928,8 +912,6 @@ def exhaustive_class_search(n: int, mode: str = "unicyclic_multisets",
     """The class of C_n by exhaustive search, independent of the structural
     narrowing that drives the structured search."""
     started = time.perf_counter()
-    if cache is None:
-        cache = PolyCache()
     stats: dict[str, int] = {}
     if mode == "all_graphs":
         if not 3 <= n <= MAX_ALL_GRAPHS_N:

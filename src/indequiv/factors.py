@@ -152,11 +152,23 @@ def f_poly_by_division(n: int) -> IntPoly:
     return poly
 
 
+# Largest n that `factorize_cycle_poly` accepts.  Its time grows with n and
+# with the number of divisors; on a 2-core x86-64 machine, `factor` took
+# 6.9 s at the prime 9973, 11.7 s at 10001 = 73 * 137, and 62 s at 9945, which
+# has 24 divisors, the most of any odd n up to the cap (each about 90 MB).
+# The transform route is slower: 248 s at 9945, over 900 s at 10001.
+MAX_FACTOR_N = 10001
+
+
 def factorize_cycle_poly(n: int, route: str = "division") -> dict[int, IntPoly]:
     """Factor I(C_n, x) into {m: f_m for m | n, m >= 3}, verifying the
     product reassembles I(C_n, x) exactly."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"factorization is defined for odd n >= 3, got {n}")
+    if n > MAX_FACTOR_N:
+        raise ValueError(
+            f"factorization supports n <= {MAX_FACTOR_N} (MAX_FACTOR_N), got {n}"
+        )
     make = {"division": f_poly_by_division, "transform": f_poly_by_transform}.get(route)
     if make is None:
         raise ValueError(f"unknown route {route!r}")

@@ -70,9 +70,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph({self.n}, {sorted(self.edges)!r})"
 
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
     def relabel(self, perm: list[int]) -> Graph:
         """Apply vertex relabelling: new id of old vertex v is perm[v]."""
         if sorted(perm) != list(range(self.n)):
@@ -161,13 +158,9 @@ def component_vertex_sets(g: Graph) -> list[list[int]]:
     return [_bits(c) for c in component_masks((1 << g.n) - 1, g._adj)]
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n == 0 or len(component_vertex_sets(g)) == 1
-
-
 def is_unicyclic(g: Graph) -> bool:
     """Connected with exactly one cycle, i.e. connected and |E| = |V|."""
-    return g.n > 0 and g.n_edges == g.n and is_connected(g)
+    return g.n > 0 and g.n_edges == g.n and len(component_vertex_sets(g)) == 1
 
 
 def degree_histogram(g: Graph) -> dict[int, int]:
@@ -184,10 +177,23 @@ def max_degree(g: Graph) -> int:
 
 # --- graph families -------------------------------------------------------
 
+def _cycle_with_arms(c: int, arms: list[tuple[int, int]]) -> Graph:
+    """C_c on vertices 0..c-1 with, for each (anchor, length) in arms, a path
+    of `length` vertices hung from anchor.  Each path takes the labels right
+    after the vertices placed before it, so an anchor may lie on an earlier
+    path."""
+    edges = [(i, (i + 1) % c) for i in range(c)]
+    n = c
+    for anchor, length in arms:
+        edges += zip([anchor, *range(n, n + length - 1)], range(n, n + length))
+        n += length
+    return Graph(n, edges)
+
+
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphSpecError(f"cycle requires n >= 3, got {n}")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return _cycle_with_arms(n, [])
 
 
 def path(n: int) -> Graph:
@@ -203,9 +209,7 @@ def d_graph(n: int) -> Graph:
     """
     if n < 4:
         raise GraphSpecError(f"D_n requires n >= 4 (the tail must exist), got {n}")
-    edges = [(0, 1), (0, 2), (1, 2)]
-    edges += [(i, i + 1) for i in range(2, n - 1)]
-    return Graph(n, edges)
+    return _cycle_with_arms(3, [(2, n - 3)])
 
 
 def a_graph(m1: int, m2: int) -> Graph:
@@ -216,56 +220,29 @@ def a_graph(m1: int, m2: int) -> Graph:
     """
     if m1 < 1 or m2 < 1:
         raise GraphSpecError(f"A requires m1, m2 >= 1, got ({m1},{m2})")
-    edges = [(0, 1), (0, 2), (1, 2)]
-    arm1 = list(range(3, 3 + m1))
-    arm2 = list(range(3 + m1, 3 + m1 + m2))
-    for anchor, arm in ((1, arm1), (2, arm2)):
-        prev = anchor
-        for v in arm:
-            edges.append((prev, v))
-            prev = v
-    return Graph(3 + m1 + m2, edges)
+    return _cycle_with_arms(3, [(1, m1), (2, m2)])
 
 
 def b_graph(m1: int, m2: int, m3: int) -> Graph:
     """B_{m1,m2,m3}: a triangle joined by a path of m1 vertices to a fork
     vertex carrying pendant paths of m2 and m3 vertices.
     m1 + m2 + m3 + 4 vertices; m1 = 0 puts the fork adjacent to the triangle.
+
+    The stem 3..2+m1 and the fork 3 + m1 hang from vertex 2 as one path.
     """
     if m1 < 0 or m2 < 1 or m3 < 1:
         raise GraphSpecError(
             f"B requires m1 >= 0 and m2, m3 >= 1, got ({m1},{m2},{m3})"
         )
-    edges = [(0, 1), (0, 2), (1, 2)]
-    stem = list(range(3, 3 + m1))
-    fork = 3 + m1
-    prev = 2
-    for v in stem:
-        edges.append((prev, v))
-        prev = v
-    edges.append((prev, fork))
-    arm2 = list(range(fork + 1, fork + 1 + m2))
-    arm3 = list(range(fork + 1 + m2, fork + 1 + m2 + m3))
-    for arm in (arm2, arm3):
-        prev = fork
-        for v in arm:
-            edges.append((prev, v))
-            prev = v
-    return Graph(m1 + m2 + m3 + 4, edges)
+    return _cycle_with_arms(3, [(2, m1 + 1), (3 + m1, m2), (3 + m1, m3)])
 
 
 def e_graph(m1: int, m2: int) -> Graph:
     """E_{m1,m2}: the cycle C_{m1+3} with a pendant path of m2 vertices.
-    m1 + m2 + 3 vertices."""
+    m1 + m2 + 3 vertices; the tail runs from vertex 0."""
     if m1 < 1 or m2 < 1:
         raise GraphSpecError(f"E requires m1, m2 >= 1, got ({m1},{m2})")
-    c = m1 + 3
-    edges = [(i, (i + 1) % c) for i in range(c)]
-    prev = 0
-    for v in range(c, c + m2):
-        edges.append((prev, v))
-        prev = v
-    return Graph(c + m2, edges)
+    return _cycle_with_arms(m1 + 3, [(0, m2)])
 
 
 def star_k13() -> Graph:

@@ -175,8 +175,3 @@ def indpoly_edge_rule_check(g: Graph, e: tuple[int, int],
     g_minus_e, g_closure = delete_edge_closure(g, e)
     via_edge = indpoly(g_minus_e, cache) - (X * X) * indpoly(g_closure, cache)
     return via_edge == indpoly(g, cache)
-
-
-def independence_number(g: Graph, cache: Optional[PolyCache] = None) -> int:
-    """The independence number, read off as deg I(G, x)."""
-    return indpoly(g, cache).degree

@@ -43,9 +43,6 @@ class IntPoly:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __getitem__(self, k: int) -> int:
         """Coefficient of x^k, 0 outside the stored range."""
         if 0 <= k < len(self.coeffs):
@@ -77,9 +74,6 @@ class IntPoly:
             for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
         )
 
-    def __neg__(self) -> IntPoly:
-        return IntPoly(-c for c in self.coeffs)
-
     def __mul__(self, other) -> IntPoly:
         if isinstance(other, int):
             return IntPoly(c * other for c in self.coeffs)
@@ -93,12 +87,6 @@ class IntPoly:
         return IntPoly(out)
 
     __rmul__ = __mul__
-
-    def shift(self, k: int) -> IntPoly:
-        """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return IntPoly((0,) * k + self.coeffs)
 
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)!r})"
@@ -123,7 +111,6 @@ class IntPoly:
         return " ".join(parts)
 
 
-ZERO = IntPoly()
 ONE = IntPoly([1])
 X = IntPoly([0, 1])
 
@@ -169,10 +156,10 @@ def poly_exact_div(p: IntPoly, q: IntPoly) -> IntPoly:
     step or nonzero remainder raises ExactDivisionError.  Failure is a
     falsified divisibility claim, never a rounding event.
     """
-    if q.is_zero():
+    if not q:
         raise ExactDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return ZERO
+    if not p:
+        return p
     if p.degree < q.degree:
         raise ExactDivisionError(
             f"degree {p.degree} polynomial is not divisible by degree {q.degree}"
@@ -197,15 +184,6 @@ def poly_exact_div(p: IntPoly, q: IntPoly) -> IntPoly:
     return IntPoly(quot)
 
 
-def poly_divides(q: IntPoly, p: IntPoly) -> bool:
-    """True iff q divides p exactly over the integers."""
-    try:
-        poly_exact_div(p, q)
-        return True
-    except ExactDivisionError:
-        return False
-
-
 def primitive_part(p: IntPoly) -> tuple[int, IntPoly]:
     """Split p into (content, primitive part).
 
@@ -213,7 +191,7 @@ def primitive_part(p: IntPoly) -> tuple[int, IntPoly]:
     leading coefficient, so the primitive part has coefficient gcd 1 and a
     positive leading coefficient.
     """
-    if p.is_zero():
+    if not p:
         raise ValueError("the zero polynomial has no primitive part")
     g = 0
     for c in p.coeffs:

@@ -87,8 +87,6 @@ def run_ledger(max_n: int = 45,
             f"max_n must be at most {MAX_COMPONENT_VERTICES} "
             f"(MAX_COMPONENT_VERTICES, the canonical-key limit), got {max_n}"
         )
-    if cache is None:
-        cache = PolyCache()
     entries: list[LedgerEntry] = []
 
     for claim_id, claim, m, coeffs in _COEFF_CLAIMS:

@@ -9,6 +9,7 @@ from itertools import combinations, permutations
 import pytest
 
 from indequiv.graphs import Graph
+from indequiv.intpoly import ExactDivisionError, poly_exact_div
 
 
 def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
@@ -23,6 +24,15 @@ def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
         ):
             return True
     return False
+
+
+def divides(q, p) -> bool:
+    """True iff q divides p exactly over the integers."""
+    try:
+        poly_exact_div(p, q)
+    except ExactDivisionError:
+        return False
+    return True
 
 
 def naive_independent_counts(g: Graph) -> list[int]:

@@ -46,11 +46,10 @@ from indequiv.intpoly import (
     is_unicyclic_poly,
     path_coeff,
     path_poly,
-    poly_divides,
     poly_exact_div,
 )
 
-from conftest import naive_independent_counts, random_graph
+from conftest import divides, naive_independent_counts, random_graph
 
 ODD = list(range(3, 46, 2))
 
@@ -295,7 +294,7 @@ def test_criterion_7_divisibility_corollary():
     for n in ODD:
         pn = cycle_poly(n)
         for k in ODD:
-            assert poly_divides(cycle_poly(k), pn) == (n % k == 0), (k, n)
+            assert divides(cycle_poly(k), pn) == (n % k == 0), (k, n)
     announce(
         "criterion-7 divisibility corollary odd pairs 3..45",
         f"{time.perf_counter() - started:.1f}s",

@@ -171,6 +171,14 @@ def test_unicyclic_beyond_the_list_limit_is_refused_up_front(capsys):
     assert "MAX_UNICYCLIC_LIST_V" in err and "15" in err
 
 
+def test_factor_beyond_its_cap_is_refused_up_front(capsys):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "factor", "10003")
+    assert time.perf_counter() - started < 0.5
+    assert code == 1 and out == ""
+    assert "MAX_FACTOR_N" in err and "10001" in err
+
+
 def test_unpruned_unicyclic_beyond_its_cap_is_refused_up_front(capsys, monkeypatch):
     from indequiv import classes
 

@@ -5,7 +5,6 @@ from indequiv.canon import (
     CanonicalRefusalError,
     canonical_form,
     canonical_key,
-    is_isomorphic,
 )
 from indequiv.graph6 import (
     Graph6Error,
@@ -58,7 +57,7 @@ def test_family_shapes():
     assert union(cycle(3), a_graph(2, 1)).n == 9
     b = b_graph(0, 1, 1)
     assert b.n == 6 and b.n_edges == 6
-    assert is_isomorphic(b, named_graph("Gd"))
+    assert canonical_key(b) == canonical_key(named_graph("Gd"))
     assert e_graph(1, 2).n == 6
     assert b_graph(1, 2, 3).n == 1 + 2 + 3 + 4
 
@@ -81,7 +80,7 @@ def test_family_bounds():
 def test_named_graphs_match_figures():
     for name, fig in FIGURE_GRAPHS.items():
         assert brute_force_isomorphic(named_graph(name), fig), name
-        assert is_isomorphic(named_graph(name), fig), name
+        assert canonical_key(named_graph(name)) == canonical_key(fig), name
 
 
 def test_graph_invariants():
@@ -94,18 +93,20 @@ def test_graph_invariants():
 
 
 def test_delete_vertex():
-    assert is_isomorphic(delete_vertex(cycle(3), 1), path(2))
-    assert is_isomorphic(delete_vertex(cycle(9), 0), path(8))
+    assert canonical_key(delete_vertex(cycle(3), 1)) == canonical_key(path(2))
+    assert canonical_key(delete_vertex(cycle(9), 0)) == canonical_key(path(8))
     d5 = d_graph(5)
     apex = next(v for v in range(5) if d5.degree(v) == 3)
-    assert is_isomorphic(delete_vertex(d5, apex), union(path(2), path(2)))
+    assert (canonical_key(delete_vertex(d5, apex))
+            == canonical_key(union(path(2), path(2))))
     with pytest.raises(ValueError):
         delete_vertex(cycle(3), 3)
 
 
 def test_delete_closed_neighborhood():
     assert delete_closed_neighborhood(cycle(3), 0).n == 0
-    assert is_isomorphic(delete_closed_neighborhood(cycle(9), 4), path(6))
+    assert (canonical_key(delete_closed_neighborhood(cycle(9), 4))
+            == canonical_key(path(6)))
 
 
 @pytest.mark.parametrize("m1,m2", [(1, 1), (2, 1), (1, 2), (3, 2), (4, 3)])
@@ -120,9 +121,8 @@ def test_arm_deletion_matches_tail_deletion(m1, m2):
     e = e_graph(m1, m2)
     u1 = 3 + m1            # first vertex of the second arm of A
     v1 = m1 + 3            # first tail vertex of E
-    assert is_isomorphic(
-        delete_closed_neighborhood(a, u1), delete_closed_neighborhood(e, v1)
-    )
+    assert (canonical_key(delete_closed_neighborhood(a, u1))
+            == canonical_key(delete_closed_neighborhood(e, v1)))
     left, right = delete_vertex(a, u1), delete_vertex(e, v1)
     assert indpoly_bruteforce(left) == indpoly_bruteforce(right)
     assert indpoly_bruteforce(a) == indpoly_bruteforce(e)
@@ -130,9 +130,10 @@ def test_arm_deletion_matches_tail_deletion(m1, m2):
 
 def test_delete_edge_closure():
     g_e, g_nn = delete_edge_closure(cycle(3), (0, 1))
-    assert is_isomorphic(g_e, path(3)) and g_nn.n == 0
+    assert canonical_key(g_e) == canonical_key(path(3)) and g_nn.n == 0
     g_e, g_nn = delete_edge_closure(cycle(5), (2, 3))
-    assert is_isomorphic(g_e, path(5)) and is_isomorphic(g_nn, path(1))
+    assert canonical_key(g_e) == canonical_key(path(5))
+    assert canonical_key(g_nn) == canonical_key(path(1))
     g_e, g_nn = delete_edge_closure(path(2), (0, 1))
     assert g_e.n == 2 and g_e.n_edges == 0 and g_nn.n == 0
     with pytest.raises(ValueError):
@@ -193,7 +194,7 @@ def test_canonical_key_against_networkx(rng):
         ng.add_nodes_from(range(n))
         nh = nx.Graph([(u, v) for u, v in h.edges])
         nh.add_nodes_from(range(n))
-        assert is_isomorphic(g, h) == nx.is_isomorphic(ng, nh)
+        assert (canonical_key(g) == canonical_key(h)) == nx.is_isomorphic(ng, nh)
 
 
 @st.composite
@@ -275,7 +276,7 @@ def test_families_are_unicyclic():
 def test_graph6_examples():
     k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     assert emit_graph6(k4) == "C~"
-    assert is_isomorphic(parse_graph6(emit_graph6(cycle(9))), cycle(9))
+    assert canonical_key(parse_graph6(emit_graph6(cycle(9)))) == canonical_key(cycle(9))
     with pytest.raises(Graph6Error):
         parse_graph6("")
 
@@ -336,7 +337,46 @@ def test_canonical_key_separates_strongly_regular_pair():
         (i, j) for i in range(16) for j in range(i + 1, 16) if shrik_adj(i, j)
     ])
     assert rook.n_edges == shrikhande.n_edges == 48
-    assert not is_isomorphic(rook, shrikhande)
+    assert canonical_key(rook) != canonical_key(shrikhande)
     perm = [5, 0, 11, 14, 2, 9, 7, 12, 4, 15, 1, 10, 6, 3, 13, 8]
-    assert is_isomorphic(rook, rook.relabel(perm))
-    assert is_isomorphic(shrikhande, shrikhande.relabel(perm))
+    assert canonical_key(rook) == canonical_key(rook.relabel(perm))
+    assert canonical_key(shrikhande) == canonical_key(shrikhande.relabel(perm))
+
+
+def _ring(c):
+    """The edges of a cycle on 0, ..., c - 1."""
+    return {(i, i + 1) for i in range(c - 1)} | {(0, c - 1)}
+
+
+TRIANGLE = _ring(3)
+
+
+def _hang(anchor, first, length):
+    """The edges of a path on first, ..., first + length - 1 hung from
+    anchor."""
+    chain = [anchor, *range(first, first + length)]
+    return set(zip(chain, chain[1:]))
+
+
+def test_family_labelling():
+    # graph6 and canonical keys cannot see labels, so pin the labelling each
+    # docstring describes: the triangle is 0, 1, 2; D's tail runs from 2; A's
+    # arms hang from 1 and 2; B's stem runs from 2 to the fork 3 + m1; E's
+    # tail runs from 0
+    ms = range(1, 9)
+    for n in range(3, 12):
+        assert cycle(n).edges == _ring(n)
+        assert path(n).edges == _hang(0, 1, n - 1)
+    for n in range(4, 12):
+        assert d_graph(n).edges == TRIANGLE | _hang(2, 3, n - 3)
+    for m1 in ms:
+        for m2 in ms:
+            assert a_graph(m1, m2).edges == (
+                TRIANGLE | _hang(1, 3, m1) | _hang(2, 3 + m1, m2))
+            assert e_graph(m1, m2).edges == (
+                _ring(m1 + 3) | _hang(0, m1 + 3, m2))
+            for m0 in range(0, 9):
+                fork = 3 + m0
+                assert b_graph(m0, m1, m2).edges == (
+                    TRIANGLE | _hang(2, 3, m0) | {(fork - 1, fork)}
+                    | _hang(fork, fork + 1, m1) | _hang(fork, fork + 1 + m1, m2))
