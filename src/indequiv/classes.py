@@ -39,6 +39,7 @@ The two must agree; the test suite enforces it.
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 import math
 import time
@@ -68,14 +69,14 @@ from .intpoly import IntPoly, cycle_poly, pack
 
 MAX_ALL_GRAPHS_N = 13
 # the pruned unicyclic scan confirms {C_n, D_n} at every odd 23 <= n <= 37 in
-# about 3 s in all on a 2-core x86-64 machine (n = 27: 0.6 s, n = 33: 2.1 s,
-# every other n under 0.15 s); n = 39 took 5.4 s and 58 MB, and n = 45 21 s
-# and 128 MB, in process
+# about 4 s in all on a 2-core x86-64 machine (n = 27: 0.4 s, n = 33: 2.9 s,
+# every other n under 0.3 s); n = 39 took 21 s and 73 MB, and n = 45 223 s
+# and 168 MB, in process
 MAX_UNICYCLIC_N = 37
 # the unpruned unicyclic scan generates every component of up to n vertices
-# and pools those of up to n - 3: n = 17 (1,363,817 components) took 13-17 s
-# and 97 MB peak RSS on a 2-core x86-64 machine, in process.  The cap is one
-# of time: n = 19 holds about 7.9x more components, some two minutes' work
+# and pools those of up to n - 3: n = 17 (1,363,817 components) took 5-7 s
+# and 91 MB peak RSS on a 2-core x86-64 machine, in process.  The cap is one
+# of time: n = 19 holds about 7.9x more components, some 40-55 s' work
 MAX_UNPRUNED_UNICYCLIC_N = 17
 # `unicyclic <v>` labels every graph and keeps one row per graph: v = 15
 # (110,381 graphs) took 55 s and 144 MB on a 2-core x86-64 machine, and each
@@ -581,6 +582,27 @@ def unicyclic_necklaces(budgets: dict[int, Optional[int]], bits: int,
     weight exceeds every budget it can still reach, and a position stops
     scanning a size's trees once none left fits.
 
+    A prefix is also cut once the vertices left cannot fill its open
+    positions.  Every kept sequence obeys three bounds:
+
+    1. every position holds a code >= seq[0] (the prenecklace rule);
+    2. if seq[0] leads a run of length L < c, the last position holds a
+       code >= seq[L], since the reflection i -> L - 1 - i keeps the run
+       in place and sets seq[c - 1] against seq[L];
+    3. the last code exceeds seq[c - 1 - p] unless c % p == 0 (the
+       necklace test).
+
+    With spare[r] the fewest vertices beyond its root of a pooled tree with
+    code >= r, every open position but the last reserves spare[seq[0]]
+    vertices and the last one spare[need], need being the least code that
+    bounds 1 and 2 leave it.  A tree is placed only if the largest size
+    served still holds the reservation after it.  While seq[0]'s run is
+    unbroken the code placed becomes need, so a position scans a size's
+    trees only up to the last code whose reservation fits.  The last
+    position starts its scan at need or at the strict floor of bound 3,
+    whichever is larger.  The bounds cut no prefix that a sequence kept by
+    the reversal check extends, so the output and its order are unchanged.
+
     The walk carries the cycle's two-state sweep down the positions (first
     root out or in, current root out or in), so each graph's polynomial
     costs one combine at the last position.  Graphs come out by c, and
@@ -596,55 +618,93 @@ def unicyclic_necklaces(budgets: dict[int, Optional[int]], bits: int,
     for u in range(top, 2, -1):
         reach[u] = max(reach[u + 1], limits.get(u, -1))
     # a tree on s vertices hangs in a graph on s + 2 vertices or more; the
-    # table is the call's own, freed when it returns
+    # table is the call's own, dropped once the pools are drawn from it
     by_size = _rooted_trees(reach[2:top + 1], bits)
     pools = {s: [t for t in by_size[s] if t.attach_weight <= reach[s + 2]]
              for s in range(1, top - 1)}
-    # shapes compare as one-character codes, in shape order
-    order = sorted(itertools.chain(*pools.values()), key=lambda t: t.shape)
-    code = {t: chr(r) for r, t in enumerate(order)}
-    tables = {}
-    for s, pool in pools.items():
-        # sufmin[i]: the least weight in pool[i:], for the exact early exit
-        sufmin = [t.attach_weight for t in pool]
-        for i in range(len(pool) - 2, -1, -1):
+    del by_size
+    # shapes compare as one-character codes, given in shape order by one
+    # merge of the pools; spare[r]: the fewest vertices beyond its root of
+    # a pooled tree with code >= r, and top past the last code
+    tables = {s: ([], []) for s in pools}
+    spare = []
+    for t, s in heapq.merge(*(zip(pool, itertools.repeat(s))
+                              for s, pool in pools.items()),
+                            key=lambda entry: entry[0].shape):
+        r = chr(len(spare))
+        spare.append(s - 1)
+        codes, entries = tables[s]
+        codes.append(r)
+        entries.append((r, t.attach_weight, t.w0, t.w1, t))
+    del pools
+    spare.append(top)
+    for r in range(len(spare) - 2, -1, -1):
+        spare[r] = min(spare[r], spare[r + 1])
+    # cut[k]: the least code whose spare exceeds k
+    cut = [chr(bisect.bisect_right(spare, k)) for k in range(top + 1)]
+    for s, (codes, entries) in tables.items():
+        # sufmin[i]: the least weight in entries[i:], for the exact early exit
+        sufmin = [aw for _, aw, _, _, _ in entries]
+        for i in range(len(sufmin) - 2, -1, -1):
             sufmin[i] = min(sufmin[i], sufmin[i + 1])
-        tables[s] = ([code[t] for t in pool], sufmin,
-                     [(code[t], t.attach_weight, t.w0, t.w1, t) for t in pool])
+        tables[s] = (codes, sufmin, entries)
 
     for c in range(3, top + 1):
         seq = [""] * c
         trees: list[Optional[RootedTree]] = [None] * c
 
-        def walk(pos: int, used: int, weight: int, p: int,
+        def walk(pos: int, used: int, weight: int, p: int, need: str,
                  a: int, b: int, a2: int, b2: int):
             # a, b: first root out, current root out / in; a2, b2: first
             # root in.  `used` counts the vertices placed so far, with one
-            # per position still open.
-            floor = seq[pos - p] if pos else "\0"
+            # per position still open; need is the least code the last
+            # position may take.
+            if pos:
+                floor = seq[pos - p]
+                each = spare[ord(seq[0])]
+                # the vertices beyond one each that positions pos + 1 to
+                # c - 1 take at least
+                res = (c - 2 - pos) * each + spare[ord(need)]
+            else:
+                floor = "\0"
+                res = 0
             nxt = last if pos + 2 == c else walk
             # a tree on two or more vertices weighs at least its root's
             # degree, so a prefix with no room left takes single vertices
-            sizes = top - used + 1 if reach[used] > weight else 1
+            sizes = top - used - res + 1 if reach[used] > weight else 1
             for s in range(1, sizes + 1):
-                room = reach[used + s - 1] - weight
+                after = used + s - 1
+                room = reach[after] - weight
                 if room < 0:
                     break
                 codes, sufmin, entries = tables[s]
                 lo = bisect.bisect_left(codes, floor)
                 hi = bisect.bisect_right(sufmin, room)
+                if p == 1:
+                    # seq[0]'s run is unbroken, so the code placed here
+                    # becomes need (at position 0, every later position's
+                    # least code too): stop before the first code whose
+                    # reservation does not fit
+                    k = ((top - after) // (c - 1) if pos == 0
+                         else top - after - res + each)
+                    hi = min(hi, bisect.bisect_left(codes, cut[k]))
                 for r, aw, w0, w1, t in entries[lo:hi]:
                     if aw > room:
                         continue
                     seq[pos] = r
                     trees[pos] = t
-                    nxt(pos + 1, used + s - 1, weight + aw,
-                        p if r == floor else pos + 1,
+                    nxt(pos + 1, after, weight + aw,
+                        p if r == floor else pos + 1, r if p == 1 else need,
                         (a + b) * w0, a * w1, (a2 + b2) * w0, a2 * w1)
 
-        def last(pos: int, used: int, weight: int, p: int,
+        def last(pos: int, used: int, weight: int, p: int, need: str,
                  a: int, b: int, a2: int, b2: int):
             floor = seq[pos - p]
+            # the last code may equal floor only if c % p == 0 (bound 3)
+            start = max(need, floor if c % p == 0 else chr(ord(floor) + 1))
+            least = used + spare[ord(start)]
+            if least > top:
+                return
             whole = a + b + a2 + b2
             head = "".join(seq[:pos])
             back = head[::-1]
@@ -653,13 +713,13 @@ def unicyclic_necklaces(budgets: dict[int, Optional[int]], bits: int,
             # with the necklace's leading run of its least code, which is
             # its longest run and, unless all codes are equal, the head's
             lead = head[:pos - len(head.lstrip(head[0]))]
-            for v in served[bisect.bisect_left(served, used):]:
+            for v in served[bisect.bisect_left(served, least):]:
                 room = limits[v] - weight
                 codes, sufmin, entries = tables[v - used + 1]
-                lo = bisect.bisect_left(codes, floor)
+                lo = bisect.bisect_left(codes, start)
                 hi = bisect.bisect_right(sufmin, room)
                 for r, aw, w0, w1, t in entries[lo:hi]:
-                    if aw > room or (r == floor and c % p):
+                    if aw > room:
                         continue
                     key = head + r
                     rev = r + back
@@ -672,7 +732,7 @@ def unicyclic_necklaces(budgets: dict[int, Optional[int]], bits: int,
                     emit((v, c, kept + (t,), whole * w0 + a * w1))
 
         # the state before position 0 makes its update (w0, 0, 0, w1)
-        walk(0, c, 0, 1, 0, 1, 1, -1)
+        walk(0, c, 0, 1, "\0", 0, 1, 1, -1)
 
 
 def enumerate_unicyclic(v: int, emit: Callable[[Graph], None]) -> None:

@@ -19,6 +19,7 @@ agreement is a meaningful cross-check, enforced by the test suite.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cache
 
@@ -37,21 +38,28 @@ class InternalConsistencyError(AssertionError):
     """An internally-derived exact construction failed; not a user error."""
 
 
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, ascending, by trial division."""
+    out = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
 def euler_phi(m: int) -> int:
-    """Euler's totient by trial-division factorization."""
+    """Euler's totient, from the distinct prime factors of m."""
     if m < 1:
         raise ValueError(f"totient requires m >= 1, got {m}")
     out = m
-    rest = m
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            out -= out // p
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        out -= out // rest
+    for p in _prime_factors(m):
+        out -= out // p
     return out
 
 
@@ -62,46 +70,74 @@ def divisors(n: int) -> list[int]:
 
 @cache
 def cyclotomic_poly(m: int) -> IntPoly:
-    """The m-th cyclotomic polynomial, by exact division of x^m - 1."""
+    """The m-th cyclotomic polynomial, as the product of (x^d - 1)^mu(m/d)
+    over the divisors d of m (only squarefree m/d count).
+
+    Multiplying or dividing by x^d - 1 is a linear recurrence on the
+    coefficients.  The factors with mu = +1 are multiplied in first, so
+    every division is exact; one that is not raises
+    InternalConsistencyError.
+    """
     if m < 1:
         raise ValueError(f"cyclotomic index must be >= 1, got {m}")
-    poly = IntPoly([-1] + [0] * (m - 1) + [1])
-    for d in range(1, m):
-        if m % d == 0:
-            poly = poly_exact_div(poly, cyclotomic_poly(d))
-    return poly
+    primes = _prime_factors(m)
+    ups, downs = [], []
+    for k in range(len(primes) + 1):
+        for combo in itertools.combinations(primes, k):
+            (downs if k % 2 else ups).append(m // math.prod(combo))
+    coeffs = [1]
+    for d in ups:
+        # p * (x^d - 1): out[i] = p[i - d] - p[i]
+        out = [-a for a in coeffs] + [0] * d
+        for i, a in enumerate(coeffs):
+            out[i + d] += a
+        coeffs = out
+    for d in downs:
+        # p / (x^d - 1) = q: q[i] = q[i - d] - p[i], and p's coefficients
+        # above q's degree must repeat q's, d places lower
+        q = [0] * (len(coeffs) - d)
+        for i in range(len(q)):
+            q[i] = (q[i - d] if i >= d else 0) - coeffs[i]
+        if any(coeffs[i] != (q[i - d] if i >= d else 0)
+               for i in range(len(q), len(coeffs))):
+            raise InternalConsistencyError(
+                f"x^{d} - 1 does not divide the product for Phi_{m}"
+            )
+        coeffs = q
+    return IntPoly(coeffs)
 
 
 def min_poly_2cos(m: int) -> IntPoly:
     """Monic minimal polynomial of 2 cos(2 pi k / m) over the integers
     (k coprime to m), of degree phi(m)/2, for m >= 3.
 
-    Obtained by the palindromic fold: writing Phi_m(y) = y^d * psi(y + 1/y)
-    with d = phi(m)/2 and solving for psi's coefficients from the top degree
-    down by exact integer elimination.  Any inexact step is an internal
-    invariant violation, never rounded.
+    Obtained by the palindromic fold Phi_m(y) = y^d * psi(y + 1/y) with
+    d = phi(m)/2.  With z = y + 1/y, Phi_m(y) / y^d is
+    a_d + sum over j of a_(d+j) * D_j(z), where D_j(z) = y^j + y^-j obeys
+    D_j = z D_(j-1) - D_(j-2) from D_0 = 2 and D_1 = z; Clenshaw's
+    recurrence b_j = a_(d+j) + z b_(j+1) - b_(j+2) sums it as
+    a_d + z b_1 - 2 b_2, in integers throughout.  A Phi_m that is not
+    palindromic of degree 2d, or a psi that is not monic, is an internal
+    invariant violation.
     """
     if m < 3:
         raise ValueError(f"min_poly_2cos requires m >= 3, got {m}")
-    phi = cyclotomic_poly(m)
+    a = cyclotomic_poly(m).coeffs
     d = euler_phi(m) // 2
-    if phi.degree != 2 * d:
+    if len(a) != 2 * d + 1 or a != a[::-1]:
         raise InternalConsistencyError(
-            f"cyclotomic degree {phi.degree} is not 2*{d} at m={m}"
+            f"cyclotomic polynomial {m} is not palindromic of degree 2*{d}"
         )
-    rem = list(phi.coeffs)
-    out = [0] * (d + 1)
-    for j in range(d, -1, -1):
-        c = rem[d + j]
-        out[j] = c
-        if c:
-            # subtract c * y^(d-j) * (y^2 + 1)^j  ==  c * y^d * (y + 1/y)^j
-            for i in range(j + 1):
-                rem[d + j - 2 * i] -= c * math.comb(j, i)
-    if any(rem):
-        raise InternalConsistencyError(
-            f"palindromic fold of cyclotomic polynomial {m} left a remainder"
-        )
+    # b1, b2: b_(j+1) and b_(j+2), coefficient lists in z
+    b1, b2 = [], []
+    for j in range(d, 0, -1):
+        b = [a[d + j]] + b1
+        for i, c in enumerate(b2):
+            b[i] -= c
+        b1, b2 = b, b1
+    out = [a[d]] + b1
+    for i, c in enumerate(b2):
+        out[i] -= 2 * c
     psi = IntPoly(out)
     if psi.coeffs[-1] != 1:
         raise InternalConsistencyError(f"fold of Phi_{m} is not monic")
@@ -156,7 +192,7 @@ def f_poly_by_division(n: int) -> IntPoly:
 # with the number of divisors; on a 2-core x86-64 machine, `factor` took
 # 6.9 s at the prime 9973, 11.7 s at 10001 = 73 * 137, and 62 s at 9945, which
 # has 24 divisors, the most of any odd n up to the cap (each about 90 MB).
-# The transform route is slower: 248 s at 9945, over 900 s at 10001.
+# The transform route took 32 s at 9945 and 29 s at 10001.
 MAX_FACTOR_N = 10001
 
 

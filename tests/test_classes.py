@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -248,20 +248,58 @@ def filtered_necklaces(v, budget):
     return out
 
 
-@pytest.mark.parametrize("budget", [None, 0, 1, 3])
-def test_necklaces_equal_the_leaf_filter_in_order(budget):
-    # one walk serving sizes 3..10 but 8, `budget` on odd sizes and another
-    # on even ones, so that the largest budget a prefix can reach moves
-    # both ways; and one walk per size with its own budget
-    other = 2 if budget is None else budget + 2
-    budgets = {v: budget if v % 2 else other for v in range(3, 11) if v != 8}
-    merged = walk_necklaces(budgets, 11)
+def _assert_walks_match_the_leaf_filter(budgets):
+    # one walk serving every size in budgets, and one walk per size
+    merged = walk_necklaces(budgets, max(budgets) + 1)
     assert set(merged) == set(budgets)
     for v, b in budgets.items():
         want = filtered_necklaces(v, b)
         assert [(c, shapes(trees)) for c, trees, _ in merged[v]] == want
         alone = walk_necklaces({v: b}, v + 1)[v]
         assert [(c, shapes(trees)) for c, trees, _ in alone] == want
+
+
+@pytest.mark.parametrize("budget", [None, 0, 1, 3])
+def test_necklaces_equal_the_leaf_filter_in_order(budget):
+    # sizes 3..10 but 8, `budget` on odd sizes and another on even ones, so
+    # that the largest budget a prefix can reach moves both ways
+    other = 2 if budget is None else budget + 2
+    _assert_walks_match_the_leaf_filter(
+        {v: budget if v % 2 else other for v in range(3, 11) if v != 8})
+
+
+def test_necklaces_equal_the_leaf_filter_on_gapped_sizes():
+    # sizes far below the largest served: the vertices a prefix reserves
+    # for its open positions are counted against the largest size, so they
+    # must never cut a graph of a small one
+    _assert_walks_match_the_leaf_filter({3: None, 4: 1, 6: None, 10: 0})
+
+
+def _longest_lyndon_prefix(word):
+    return max(k for k in range(1, len(word) + 1)
+               if all(word[:k] < word[i:k] + word[:i] for i in range(1, k)))
+
+
+def test_dihedral_minimal_sequences_obey_the_walk_bounds():
+    # the bounds by which the necklace walk cuts its prefixes, on plain
+    # sequences: every code >= the first (1); with the first code's run of
+    # length L < c, the last code >= seq[L] (2); and the last code exceeds
+    # seq[c - 1 - p], p the longest Lyndon prefix of the other c - 1 codes,
+    # unless c % p == 0 (3)
+    checked = 0
+    for symbols, longest in ((3, 10), (5, 7)):
+        for c in range(3, longest + 1):
+            for seq in product(range(symbols), repeat=c):
+                if not _dihedral_minimal(seq):
+                    continue
+                checked += 1
+                assert min(seq) == seq[0]
+                run = next((i for i, x in enumerate(seq) if x != seq[0]), c)
+                assert run == c or seq[-1] >= seq[run]
+                p = _longest_lyndon_prefix(seq[:-1])
+                assert seq[-1] > seq[c - 1 - p] or (
+                    c % p == 0 and seq[-1] == seq[c - 1 - p])
+    assert checked > 1000
 
 
 # OEIS A000081: rooted trees on s nodes, s = 1, 2, ...

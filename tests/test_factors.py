@@ -1,4 +1,5 @@
 import math
+from functools import cache
 
 import pytest
 
@@ -21,6 +22,7 @@ from indequiv.intpoly import (
     cycle_poly,
     eval_float,
     is_unicyclic_poly,
+    poly_exact_div,
 )
 
 from conftest import divides
@@ -46,6 +48,20 @@ def test_cyclotomic_product_recovers_xm_minus_1(m):
     for d in divisors(m):
         prod = prod * cyclotomic_poly(d)
     assert prod == IntPoly([-1] + [0] * (m - 1) + [1])
+
+
+@cache
+def _cyclotomic_by_division(m):
+    """Phi_m by dividing x^m - 1 by Phi_d for every proper divisor d."""
+    poly = IntPoly([-1] + [0] * (m - 1) + [1])
+    for d in divisors(m)[:-1]:
+        poly = poly_exact_div(poly, _cyclotomic_by_division(d))
+    return poly
+
+
+def test_cyclotomic_matches_division_of_xm_minus_1():
+    for m in range(1, 401):
+        assert cyclotomic_poly(m) == _cyclotomic_by_division(m), m
 
 
 def test_min_poly_2cos_examples():
