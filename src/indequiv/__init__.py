@@ -36,9 +36,6 @@ from .graphs import (
     cycle,
     d_graph,
     degree_histogram,
-    delete_closed_neighborhood,
-    delete_edge_closure,
-    delete_vertex,
     is_unicyclic,
     named_graph,
     path,
@@ -49,17 +46,12 @@ from .indpoly import (
     PolyCache,
     indpoly,
     indpoly_bruteforce,
-    indpoly_edge_rule_check,
 )
 from .intpoly import (
     ExactDivisionError,
     IntPoly,
     cycle_coeff,
     cycle_poly,
-    eval_float,
-    is_unicyclic_poly,
-    path_coeff,
-    path_poly,
     poly_exact_div,
     primitive_part,
 )

@@ -976,7 +976,8 @@ def exhaustive_class_search(n: int, mode: str = "unicyclic_multisets",
     if mode == "all_graphs":
         if not 3 <= n <= MAX_ALL_GRAPHS_N:
             raise ValueError(
-                f"all-graphs scan supports 3 <= n <= {MAX_ALL_GRAPHS_N}, got {n}"
+                f"all-graphs scan supports 3 <= n <= {MAX_ALL_GRAPHS_N} "
+                f"(MAX_ALL_GRAPHS_N), got {n}"
             )
         members = _exhaustive_all_graphs(n, stats)
         mode_name = "exhaustive_all_graphs"
@@ -984,7 +985,7 @@ def exhaustive_class_search(n: int, mode: str = "unicyclic_multisets",
         if not (3 <= n <= MAX_UNICYCLIC_N and n % 2 == 1):
             raise ValueError(
                 f"unicyclic-multiset scan supports odd 3 <= n <= "
-                f"{MAX_UNICYCLIC_N}, got {n}"
+                f"{MAX_UNICYCLIC_N} (MAX_UNICYCLIC_N), got {n}"
             )
         if not prune and n > MAX_UNPRUNED_UNICYCLIC_N:
             raise ValueError(

@@ -106,34 +106,6 @@ def union(*graphs: Graph) -> Graph:
     return Graph(n, edges)
 
 
-def delete_vertex(g: Graph, v: int) -> Graph:
-    """G - v, remaining vertices re-indexed densely, order preserved."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
-    return g.subgraph([u for u in range(g.n) if u != v])
-
-
-def delete_vertices(g: Graph, drop: Iterable[int]) -> Graph:
-    dropped = set(drop)
-    return g.subgraph([u for u in range(g.n) if u not in dropped])
-
-
-def delete_closed_neighborhood(g: Graph, v: int) -> Graph:
-    """G - N[v]: remove v and all its neighbors."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
-    return delete_vertices(g, g.neighbors(v) + [v])
-
-
-def delete_edge_closure(g: Graph, e: tuple[int, int]) -> tuple[Graph, Graph]:
-    """For an edge e = uv, return (G - e, G - (N(u) ∪ N(v)))."""
-    u, v = e
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge")
-    g_minus_e = Graph(g.n, (x for x in g.edges if x != (min(u, v), max(u, v))))
-    return g_minus_e, delete_vertices(g, set(g.neighbors(u)) | set(g.neighbors(v)))
-
-
 def component_masks(mask: int, adj: tuple[int, ...]) -> list[int]:
     """Connected components of the subgraph induced by mask, as masks."""
     comps = []

@@ -36,7 +36,7 @@ def parse_spec(text: str) -> Graph:
     # whole string (a single graph6 string can already encode a union).
     if text.startswith("g6:"):
         return _parse_term(text)
-    parts = _split_top_level(text)
+    parts = _split_top_level("".join(text.split()))
     if len(parts) > 1:
         return graphs.union(*(_parse_term(p) for p in parts))
     return _parse_term(parts[0])
@@ -83,11 +83,11 @@ def _split_top_level(text: str) -> list[str]:
             if depth < 0:
                 raise GraphSpecError("unbalanced parentheses")
         if ch == "+" and depth == 0:
-            parts.append("".join(cur).strip())
+            parts.append("".join(cur))
             cur = []
         else:
             cur.append(ch)
     if depth != 0:
         raise GraphSpecError("unbalanced parentheses")
-    parts.append("".join(cur).strip())
+    parts.append("".join(cur))
     return parts

@@ -23,15 +23,15 @@ same identity applied at an end vertex, I(P_j) = I(P_{j-1}) + x·I(P_{j-2}),
 and a k-cycle is I(P_{k-1}) + x·I(P_{k-3}) by deleting one of its vertices.
 A chain of k vertices thus costs k packed additions and holds two packed
 polynomials, whatever else the call has computed.  The binomial
-closed forms `intpoly.cycle_poly`/`path_poly` are not used, so they stay an
-independent check of this module.
+closed forms, `intpoly.cycle_poly` and `path_poly` in `tests/conftest.py`,
+are not used, so they stay an independent check of this module.
 """
 from __future__ import annotations
 
 from typing import Optional
 
-from .graphs import Graph, component_masks, delete_edge_closure
-from .intpoly import IntPoly, X, unpack
+from .graphs import Graph, component_masks
+from .intpoly import IntPoly, unpack
 
 #: Largest graph the brute force accepts: its DP table has 2^n entries.
 BRUTE_FORCE_MAX_VERTICES = 22
@@ -139,7 +139,8 @@ def _pivot(comp: int, adj: tuple[int, ...]) -> tuple[int, int, int]:
     A connected comp of maximum degree at most 2 is a chain: a path, or a
     cycle when the degree sum is twice its size.  `indpoly` finishes chains
     by the deletion identity at an end vertex, so it asks for no pivot on
-    them; the binomial closed forms stay an independent check.
+    them; the binomial closed forms (`intpoly.cycle_poly`, and `path_poly`
+    in `tests/conftest.py`) stay an independent check.
     """
     best = -1
     pivot = 0
@@ -162,16 +163,3 @@ def _product(comps: list[int], memo: dict[int, int], k1: int) -> int:
     for c in comps:
         out *= memo[c] if c & (c - 1) else k1
     return out
-
-
-def indpoly_edge_rule_check(g: Graph, e: tuple[int, int],
-                            cache: Optional[PolyCache] = None) -> bool:
-    """Recompute I(G, x) through the edge-deletion identity
-
-        I(G, x) = I(G - e, x) - x^2 * I(G - (N(u) ∪ N(v)), x)
-
-    and report whether it matches the vertex-deletion route.
-    """
-    g_minus_e, g_closure = delete_edge_closure(g, e)
-    via_edge = indpoly(g_minus_e, cache) - (X * X) * indpoly(g_closure, cache)
-    return via_edge == indpoly(g, cache)

@@ -68,12 +68,6 @@ class IntPoly:
             for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
         )
 
-    def __sub__(self, other: IntPoly) -> IntPoly:
-        return IntPoly(
-            a - b
-            for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        )
-
     def __mul__(self, other) -> IntPoly:
         if isinstance(other, int):
             return IntPoly(c * other for c in self.coeffs)
@@ -201,18 +195,6 @@ def primitive_part(p: IntPoly) -> tuple[int, IntPoly]:
     return g, IntPoly(c // g for c in p.coeffs)
 
 
-def is_unicyclic_poly(p: IntPoly) -> bool:
-    """Test the coefficient signature shared by independence polynomials of
-    disjoint unions of unicyclic graphs: nonnegative coefficients, constant
-    term 1, and p2 = C(p1, 2) - p1.
-    """
-    if any(c < 0 for c in p.coeffs):
-        return False
-    if p[0] != 1:
-        return False
-    return p[2] == math.comb(p[1], 2) - p[1]
-
-
 def cycle_coeff(n: int, k: int) -> int:
     """Number of independent k-subsets of the cycle C_n: (n/k)*C(n-k-1, k-1).
 
@@ -231,30 +213,8 @@ def cycle_coeff(n: int, k: int) -> int:
     return val
 
 
-def path_coeff(n: int, k: int) -> int:
-    """Number of independent k-subsets of the path P_n: C(n-k+1, k)."""
-    if n < 0:
-        raise ValueError(f"path requires n >= 0, got {n}")
-    if k < 0:
-        return 0
-    return math.comb(n - k + 1, k) if n - k + 1 >= k else 0
-
-
 @functools.cache
 def cycle_poly(n: int) -> IntPoly:
     """Independence polynomial of the cycle C_n from the closed form, built
     once per n (`factor n` asks for it three times)."""
     return IntPoly(cycle_coeff(n, k) for k in range(n // 2 + 1))
-
-
-def path_poly(n: int) -> IntPoly:
-    """Independence polynomial of the path P_n (P_0 is the empty graph)."""
-    return IntPoly(path_coeff(n, k) for k in range((n + 1) // 2 + 1))
-
-
-def eval_float(p: IntPoly, x: float) -> float:
-    """Horner evaluation in double precision."""
-    acc = 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc

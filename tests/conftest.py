@@ -1,15 +1,18 @@
 """Shared test oracles, deliberately independent of the package internals:
 permutation-based isomorphism, naive subgraph counting, and direct
-independent-set enumeration."""
+independent-set enumeration.  Also the helpers that only tests call:
+vertex and edge deletions, the path closed form, the unicyclic coefficient
+signature, float evaluation and polynomial subtraction."""
 from __future__ import annotations
 
+import math
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, zip_longest
 
 import pytest
 
 from indequiv.graphs import Graph
-from indequiv.intpoly import ExactDivisionError, poly_exact_div
+from indequiv.intpoly import ExactDivisionError, IntPoly, poly_exact_div
 
 
 def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
@@ -24,6 +27,70 @@ def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
         ):
             return True
     return False
+
+
+def delete_vertex(g: Graph, v: int) -> Graph:
+    """G - v, remaining vertices re-indexed densely, order preserved."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range for n={g.n}")
+    return g.subgraph([u for u in range(g.n) if u != v])
+
+
+def delete_closed_neighborhood(g: Graph, v: int) -> Graph:
+    """G - N[v]: remove v and all its neighbors."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range for n={g.n}")
+    dropped = set(g.neighbors(v)) | {v}
+    return g.subgraph([u for u in range(g.n) if u not in dropped])
+
+
+def delete_edge_closure(g: Graph, e: tuple[int, int]) -> tuple[Graph, Graph]:
+    """For an edge e = uv, return (G - e, G - (N(u) ∪ N(v)))."""
+    u, v = e
+    if not g.has_edge(u, v):
+        raise ValueError(f"({u},{v}) is not an edge")
+    g_minus_e = Graph(g.n, (x for x in g.edges if x != (min(u, v), max(u, v))))
+    dropped = set(g.neighbors(u)) | set(g.neighbors(v))
+    return g_minus_e, g.subgraph([w for w in range(g.n) if w not in dropped])
+
+
+def poly_sub(p: IntPoly, q: IntPoly) -> IntPoly:
+    """p - q (`IntPoly` has no `-`: only tests subtract polynomials)."""
+    return IntPoly(a - b for a, b in zip_longest(p.coeffs, q.coeffs, fillvalue=0))
+
+
+def path_coeff(n: int, k: int) -> int:
+    """Number of independent k-subsets of the path P_n: C(n-k+1, k)."""
+    if n < 0:
+        raise ValueError(f"path requires n >= 0, got {n}")
+    if k < 0:
+        return 0
+    return math.comb(n - k + 1, k) if n - k + 1 >= k else 0
+
+
+def path_poly(n: int) -> IntPoly:
+    """Independence polynomial of the path P_n (P_0 is the empty graph)."""
+    return IntPoly(path_coeff(n, k) for k in range((n + 1) // 2 + 1))
+
+
+def is_unicyclic_poly(p: IntPoly) -> bool:
+    """Test the coefficient signature shared by independence polynomials of
+    disjoint unions of unicyclic graphs: nonnegative coefficients, constant
+    term 1, and p2 = C(p1, 2) - p1.
+    """
+    if any(c < 0 for c in p.coeffs):
+        return False
+    if p[0] != 1:
+        return False
+    return p[2] == math.comb(p[1], 2) - p[1]
+
+
+def eval_float(p: IntPoly, x: float) -> float:
+    """Horner evaluation in double precision."""
+    acc = 0.0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def divides(q, p) -> bool:

@@ -31,8 +31,6 @@ from indequiv.graphs import (
     b_graph,
     cycle,
     d_graph,
-    delete_closed_neighborhood,
-    delete_vertex,
     e_graph,
     k4_minus_e,
     named_graph,
@@ -48,7 +46,12 @@ from indequiv.indpoly import (
 )
 from indequiv.intpoly import X, cycle_poly, pack, unpack
 
-from conftest import divides, naive_independent_counts
+from conftest import (
+    delete_closed_neighborhood,
+    delete_vertex,
+    divides,
+    naive_independent_counts,
+)
 
 
 def keys_of(*graphs):
@@ -599,11 +602,11 @@ def test_divisor_pruning_changes_stats_not_members():
 
 
 def test_exhaustive_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"n <= 13 \(MAX_ALL_GRAPHS_N\), got 14"):
         exhaustive_class_search(14, "all_graphs")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"n <= 37 \(MAX_UNICYCLIC_N\), got 39"):
         exhaustive_class_search(39, "unicyclic_multisets")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"n <= 37 \(MAX_UNICYCLIC_N\), got 8"):
         exhaustive_class_search(8, "unicyclic_multisets")
     with pytest.raises(ValueError):
         exhaustive_class_search(9, "nonsense")

@@ -20,12 +20,10 @@ from indequiv.intpoly import (
     ExactDivisionError,
     IntPoly,
     cycle_poly,
-    eval_float,
-    is_unicyclic_poly,
     poly_exact_div,
 )
 
-from conftest import divides
+from conftest import divides, eval_float, is_unicyclic_poly
 
 
 def test_euler_phi():

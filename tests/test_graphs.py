@@ -21,9 +21,6 @@ from indequiv.graphs import (
     cycle,
     d_graph,
     degree_histogram,
-    delete_closed_neighborhood,
-    delete_edge_closure,
-    delete_vertex,
     e_graph,
     is_unicyclic,
     k4_minus_e,
@@ -33,7 +30,13 @@ from indequiv.graphs import (
     union,
 )
 
-from conftest import brute_force_isomorphic, random_graph
+from conftest import (
+    brute_force_isomorphic,
+    delete_closed_neighborhood,
+    delete_edge_closure,
+    delete_vertex,
+    random_graph,
+)
 
 # the classification figures, transcribed vertex by vertex
 FIGURE_GRAPHS = {

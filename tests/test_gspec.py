@@ -2,12 +2,23 @@ import pytest
 
 from indequiv.canon import canonical_key
 from indequiv.graph6 import emit_graph6
-from indequiv.graphs import GraphSpecError, a_graph, cycle, named_graph, union
+from indequiv.graphs import (
+    GraphSpecError,
+    a_graph,
+    cycle,
+    d_graph,
+    e_graph,
+    named_graph,
+    union,
+)
 from indequiv.gspec import parse_spec
 
 
 def test_compact_forms():
     assert canonical_key(parse_spec("C9")) == canonical_key(cycle(9))
+    # whitespace is ignored inside a term too
+    assert canonical_key(parse_spec("C 9")) == canonical_key(cycle(9))
+    assert canonical_key(parse_spec("D 7")) == canonical_key(d_graph(7))
     assert parse_spec("P5").n_edges == 4
     assert parse_spec("D7").n == 7
     assert canonical_key(parse_spec("A(2,1)")) == canonical_key(a_graph(2, 1))
@@ -23,6 +34,8 @@ def test_unions():
     g = parse_spec("C3 + A(2,1)")
     assert canonical_key(g) == canonical_key(union(cycle(3), a_graph(2, 1)))
     assert parse_spec("C3+C5+A(3,1)").n == 15
+    assert (canonical_key(parse_spec("E(1, 2) + C3"))
+            == canonical_key(union(e_graph(1, 2), cycle(3))))
 
 
 def test_graph6_specs():

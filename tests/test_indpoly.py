@@ -11,8 +11,6 @@ from indequiv.graphs import (
     b_graph,
     cycle,
     d_graph,
-    delete_closed_neighborhood,
-    delete_vertex,
     e_graph,
     named_graph,
     path,
@@ -22,11 +20,32 @@ from indequiv.indpoly import (
     PolyCache,
     indpoly,
     indpoly_bruteforce,
-    indpoly_edge_rule_check,
 )
-from indequiv.intpoly import IntPoly, ONE, X, cycle_poly, path_poly
+from indequiv.intpoly import IntPoly, ONE, X, cycle_poly
 
-from conftest import naive_independent_counts, random_graph
+from conftest import (
+    delete_closed_neighborhood,
+    delete_edge_closure,
+    delete_vertex,
+    naive_independent_counts,
+    path_poly,
+    poly_sub,
+    random_graph,
+)
+
+
+def indpoly_edge_rule_check(g: Graph, e: tuple[int, int],
+                            cache: PolyCache | None = None) -> bool:
+    """Recompute I(G, x) through the edge-deletion identity
+
+        I(G, x) = I(G - e, x) - x^2 * I(G - (N(u) ∪ N(v)), x)
+
+    and report whether it matches the vertex-deletion route.
+    """
+    g_minus_e, g_closure = delete_edge_closure(g, e)
+    via_edge = poly_sub(indpoly(g_minus_e, cache),
+                        (X * X) * indpoly(g_closure, cache))
+    return via_edge == indpoly(g, cache)
 
 
 def test_bruteforce_examples():

@@ -8,18 +8,20 @@ from indequiv.intpoly import (
     X,
     cycle_coeff,
     cycle_poly,
-    eval_float,
-    is_unicyclic_poly,
     pack,
-    path_coeff,
-    path_poly,
     poly_exact_div,
     primitive_part,
     unpack,
 )
 from indequiv.graphs import cycle, path
 
-from conftest import naive_independent_counts
+from conftest import (
+    eval_float,
+    is_unicyclic_poly,
+    naive_independent_counts,
+    path_coeff,
+    path_poly,
+)
 
 C9 = IntPoly([1, 9, 27, 30, 9])
 C15 = IntPoly([1, 15, 90, 275, 450, 378, 140, 15])
