@@ -69,14 +69,14 @@ from .intpoly import IntPoly, cycle_poly, pack
 
 MAX_ALL_GRAPHS_N = 13
 # the pruned unicyclic scan confirms {C_n, D_n} at every odd 23 <= n <= 37 in
-# about 4 s in all on a 2-core x86-64 machine (n = 27: 0.4 s, n = 33: 2.9 s,
-# every other n under 0.3 s); n = 39 took 21 s and 73 MB, and n = 45 223 s
-# and 168 MB, in process
+# about 1.6 s in all on a 2-core x86-64 machine (n = 27: 0.3 s, n = 33: 1.1 s,
+# every other n under 0.1 s); n = 39 took 3.4 s and 19 MB, and n = 45 10.3 s
+# and 21 MB, in process
 MAX_UNICYCLIC_N = 37
 # the unpruned unicyclic scan generates every component of up to n vertices
-# and pools those of up to n - 3: n = 17 (1,363,817 components) took 5-7 s
+# and pools those of up to n - 3: n = 17 (1,363,817 components) took 4-5 s
 # and 91 MB peak RSS on a 2-core x86-64 machine, in process.  The cap is one
-# of time: n = 19 holds about 7.9x more components, some 40-55 s' work
+# of time: n = 19 holds about 7.9x more components, some 30-40 s' work
 MAX_UNPRUNED_UNICYCLIC_N = 17
 # `unicyclic <v>` labels every graph and keeps one row per graph: v = 15
 # (110,381 graphs) took 55 s and 144 MB on a 2-core x86-64 machine, and each
@@ -531,7 +531,13 @@ def _rooted_trees(caps: list, bits: int) -> list[list[RootedTree]]:
 
     Each tree is made once, from its base and its last child.  Weight never
     falls as a child is added, so every base and child of a kept tree is
-    kept too."""
+    kept too.
+
+    A caller that wants the trees whose attach weight is at most A[s] may
+    pass caps[s] = A[s] - 1 for s >= 2, and the -1 is exact: a tree on two
+    or more vertices attaches with its inner weight plus its root's child
+    count, at least 1, so it drops no such tree, and a tree whose root has
+    one child attaches with exactly its cap plus 1."""
     trees = [[], [RootedTree(None, None, bits)]]
     for s in range(2, len(caps)):
         made = []
@@ -603,6 +609,17 @@ def unicyclic_necklaces(budgets: dict[int, Optional[int]], bits: int,
     whichever is larger.  The bounds cut no prefix that a sequence kept by
     the reversal check extends, so the output and its order are unchanged.
 
+    The last position checks the reversal once per prefix, not once per
+    code: with the first c - 1 codes fixed, the last codes that pass form
+    an up-set.  Let r < r', and let a rotation R' of r' + reversed(head) be
+    smaller than head + r'; the same rotation R of r + reversed(head) is
+    then smaller than head + r.  r' sits once in R', at j say.  If R' and
+    head + r' first differ before j, putting r for r' changes neither
+    before that place.  Otherwise j < c - 1, as both hold r' at c - 1, so
+    head[j] >= r' > r, and R, equal to head + r before j, is smaller at j.
+    So the least code passed so far admits every code at or above it, and
+    only the codes below it are checked.
+
     The walk carries the cycle's two-state sweep down the positions (first
     root out or in, current root out or in), so each graph's polynomial
     costs one combine at the last position.  Graphs come out by c, and
@@ -617,9 +634,14 @@ def unicyclic_necklaces(budgets: dict[int, Optional[int]], bits: int,
     reach = [-1] * (top + 2)
     for u in range(top, 2, -1):
         reach[u] = max(reach[u + 1], limits.get(u, -1))
-    # a tree on s vertices hangs in a graph on s + 2 vertices or more; the
-    # table is the call's own, dropped once the pools are drawn from it
-    by_size = _rooted_trees(reach[2:top + 1], bits)
+    # a tree on s vertices hangs in a graph on s + 2 vertices or more, so it
+    # is pooled only if its attach weight is at most reach[s + 2].  On s >= 2
+    # vertices that weight is its inner weight plus its root's child count,
+    # at least 1, so the table caps inner weight at reach[s + 2] - 1: a
+    # pooled tree with one child sits on that cap, so no lower one would do.
+    # The table is the call's own, dropped once the pools are drawn from it
+    by_size = _rooted_trees(
+        reach[2:4] + [cap - 1 for cap in reach[4:top + 1]], bits)
     pools = {s: [t for t in by_size[s] if t.attach_weight <= reach[s + 2]]
              for s in range(1, top - 1)}
     del by_size
@@ -637,6 +659,7 @@ def unicyclic_necklaces(budgets: dict[int, Optional[int]], bits: int,
         codes.append(r)
         entries.append((r, t.attach_weight, t.w0, t.w1, t))
     del pools
+    past = chr(len(spare))  # above every code
     spare.append(top)
     for r in range(len(spare) - 2, -1, -1):
         spare[r] = min(spare[r], spare[r + 1])
@@ -713,6 +736,9 @@ def unicyclic_necklaces(budgets: dict[int, Optional[int]], bits: int,
             # with the necklace's leading run of its least code, which is
             # its longest run and, unless all codes are equal, the head's
             lead = head[:pos - len(head.lstrip(head[0]))]
+            # the codes that pass the reversal check form an up-set, so
+            # every code >= ok, the least one passed so far, passes too
+            ok = past
             for v in served[bisect.bisect_left(served, least):]:
                 room = limits[v] - weight
                 codes, sufmin, entries = tables[v - used + 1]
@@ -721,14 +747,16 @@ def unicyclic_necklaces(budgets: dict[int, Optional[int]], bits: int,
                 for r, aw, w0, w1, t in entries[lo:hi]:
                     if aw > room:
                         continue
-                    key = head + r
-                    rev = r + back
-                    rev += rev
-                    k = rev.find(lead)
-                    while k < c and rev[k:k + c] >= key:
-                        k = rev.find(lead, k + 1)
-                    if k < c:
-                        continue
+                    if r < ok:
+                        key = head + r
+                        rev = r + back
+                        rev += rev
+                        k = rev.find(lead)
+                        while k < c and rev[k:k + c] >= key:
+                            k = rev.find(lead, k + 1)
+                        if k < c:
+                            continue
+                        ok = r
                     emit((v, c, kept + (t,), whole * w0 + a * w1))
 
         # the state before position 0 makes its update (w0, 0, 0, w1)
@@ -781,23 +809,22 @@ def _admit_components(n: int, table: Optional[dict[int, tuple[int, int]]],
                       stats: dict[str, int],
                       emit: Callable[[Necklace], None]) -> None:
     """Hand emit the candidate connected components for members of the
-    class of C_n as the necklace walk finds them, counting them in stats.
-    With a divisor table (`_divisor_table`), only components whose packed
-    polynomial is in it are admitted; without one, every component of up
-    to n vertices."""
+    class of C_n as the necklace walk finds them.  With a divisor table
+    (`_divisor_table`), only components whose packed polynomial is in it
+    are admitted, and the others are counted in stats by the filter that
+    dropped them; without one, every component of up to n vertices goes
+    straight to emit."""
     if table is None:
-        budgets = dict.fromkeys(range(3, n + 1))
-    else:
-        classes: dict[int, set[int]] = {}
-        for v, m in table.values():
-            classes.setdefault(v, set()).add(m)
-        budgets = {v: max(ms) + 1 for v, ms in classes.items() if max(ms) >= -1}
+        unicyclic_necklaces(dict.fromkeys(range(3, n + 1)), n + 1, emit)
+        return
+    classes: dict[int, set[int]] = {}
+    for v, m in table.values():
+        classes.setdefault(v, set()).add(m)
+    budgets = {v: max(ms) + 1 for v, ms in classes.items() if max(ms) >= -1}
 
     def admit(comp: Necklace):
-        stats["components_generated"] += 1
         v, c, trees, poly = comp
-        if table is None or poly in table:
-            stats["components_admitted"] += 1
+        if poly in table:
             emit(comp)
             return
         wt = sum(t.attach_weight for t in trees) - (1 if c == 3 else 0)
@@ -828,16 +855,23 @@ def _exhaustive_unicyclic(n: int, cache: PolyCache, prune: bool,
     # arrives.  One on n - 1 or n - 2 vertices is in no multiset, since no
     # cycle fits in the 1 or 2 vertices left.  Only the rest are pooled.
     pool: list[Necklace] = []
+    taken = whole = 0
 
     def take(comp: Necklace):
+        nonlocal taken, whole
+        taken += 1
         if comp[0] == n:
-            stats["multisets_tested"] += 1
+            whole += 1
             if comp[3] == goal:
                 accept([comp])
         elif comp[0] <= n - 3:
             pool.append(comp)
 
     _admit_components(n, table, stats, take)
+    stats["components_generated"] = (taken + stats["components_pruned_census"]
+                                     + stats["components_pruned_divisor"])
+    stats["components_admitted"] = taken
+    stats["multisets_tested"] = whole
     # stable, so each size keeps the walk's order; the pool runs from large
     # components to small: fits[r] is the first entry on at most r
     # vertices, so no level walks past the larger ones

@@ -207,6 +207,18 @@ def test_necklace_counts_match_oeis(v):
     assert len(found) == A001429[v - 3]
 
 
+def test_one_walk_serving_every_size_counts_match_oeis():
+    # one walk serves sizes 3..12, so the last position of one size meets
+    # codes below the least that another size's reversal check passed
+    counts = dict.fromkeys(range(3, 13), 0)
+
+    def count(necklace):
+        counts[necklace[0]] += 1
+
+    unicyclic_necklaces(dict.fromkeys(counts), 13, count)
+    assert list(counts.values()) == list(A001429[:10])
+
+
 def _dihedral_minimal(seq: tuple) -> bool:
     """True iff seq is minimal among its rotations and reflections."""
     c = len(seq)
@@ -305,6 +317,29 @@ def test_dihedral_minimal_sequences_obey_the_walk_bounds():
     assert checked > 1000
 
 
+def _below_its_reversal(seq: tuple) -> bool:
+    """True iff no rotation of seq's reversal is smaller than seq."""
+    c = len(seq)
+    rev = seq[::-1] * 2
+    return all(rev[k:k + c] >= seq for k in range(c))
+
+
+def test_passing_last_codes_form_an_up_set():
+    # the lemma by which the necklace walk's last position checks the
+    # reversal once per prefix: with the first c - 1 codes fixed, a last
+    # code that passes the reversal check, or gives a dihedral-minimal
+    # sequence, passes with every larger last code too
+    heads = 0
+    for symbols, longest in ((3, 10), (5, 7)):
+        for c in range(3, longest + 1):
+            for head in product(range(symbols), repeat=c - 1):
+                heads += 1
+                for test in (_below_its_reversal, _dihedral_minimal):
+                    passed = [test(head + (r,)) for r in range(symbols)]
+                    assert passed == sorted(passed), (head, test.__name__)
+    assert heads == 49045
+
+
 # OEIS A000081: rooted trees on s nodes, s = 1, 2, ...
 A000081 = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973)
 
@@ -357,6 +392,50 @@ def test_capped_rooted_trees_are_the_uncapped_filtered_by_weight(caps):
     for s in range(1, len(caps)):
         assert [t.shape for t in capped[s]] == [
             t.shape for t in full[s] if t.inner_weight <= caps[s]]
+
+
+def _walk_budgets(n, prune):
+    """The budgets by vertex count that the unicyclic-multiset scan of the
+    class of C_n hands the necklace walk."""
+    if not prune:
+        return dict.fromkeys(range(3, n + 1))
+    from indequiv.classes import _divisor_table
+
+    weights = {}
+    for v, m in _divisor_table(n, n + 1).values():
+        weights.setdefault(v, set()).add(m)
+    return {v: max(ms) + 1 for v, ms in weights.items() if max(ms) >= -1}
+
+
+def _pooled(trees, s, cap):
+    return [(t.shape, t.inner_weight, t.attach_weight, t.w0, t.w1)
+            for t in trees[s] if t.attach_weight <= cap]
+
+
+@pytest.mark.parametrize("n, prune",
+                         [*((n, True) for n in range(3, 64, 2)), (15, False)])
+def test_tree_table_capped_at_the_pools_pools_the_same_trees(n, prune):
+    # the walk pools the trees on s vertices whose attach weight is at most
+    # reach[s + 2], from a table whose inner weight is capped at
+    # reach[s + 2] - 1 for s >= 2: its pools must be those of a table capped
+    # at reach[s + 2].  Sizes past 24 are left out, as under those caps the
+    # tables grow to hundreds of thousands of trees
+    budgets = _walk_budgets(n, prune)
+    top = max(budgets)
+    reach = [-1] * (top + 2)
+    for u in range(top, 2, -1):
+        b = budgets.get(u, -1)
+        reach[u] = max(reach[u + 1], math.inf if b is None else b)
+    old_caps = reach[2:top + 1][:25]
+    new_caps = (reach[2:4] + [cap - 1 for cap in reach[4:top + 1]])[:25]
+    old = _rooted_trees(old_caps, n + 1)
+    new = _rooted_trees(new_caps, n + 1)
+    pooled = 0
+    for s in range(1, len(old_caps)):
+        pool = _pooled(new, s, reach[s + 2])
+        assert pool == _pooled(old, s, reach[s + 2]), s
+        pooled += len(pool)
+    assert pooled > 0
 
 
 # --- class searches -----------------------------------------------------------
