@@ -24,14 +24,15 @@ Two independent computations of the class are provided:
   The components come from one necklace walk per cycle length, which
   serves every component size at once and carries each component's
   polynomial down the walk packed into an int (``intpoly.pack``), and
-  hands each component over as it finds it: one on all n vertices is
-  tested on the spot, one on n - 1 or n - 2 is in no multiset, and only
-  those on at most n - 3 vertices are pooled.  The scan multiplies packed
-  polynomials and compares the product with the packed target.  Pruned,
-  it tables the divisors of I(C_n, x) with constant term 1, the products
-  of subsets of its irreducible factors f_m, packed alike: a component is
-  kept, and a partial multiset extended, only while its packed product is
-  in that table.  A component's graph is built only when its multiset
+  hands the components over as it finds them, one run of last positions
+  per prefix and size: one on all n vertices is tested on the spot, one
+  on n - 1 or n - 2 is in no multiset, and only those on at most n - 3
+  vertices are pooled.  The scan multiplies packed polynomials and
+  compares the product with the packed target.  Pruned, it tables the
+  divisors of I(C_n, x) with constant term 1, the products of subsets of
+  its irreducible factors f_m, packed alike: a component is kept, and a
+  partial multiset extended, only while its packed product is in that
+  table.  A component's graph is built only when its multiset
   matches the target, and ``indpoly`` of the union then confirms it.
 
 The two must agree; the test suite enforces it.
@@ -42,6 +43,7 @@ import bisect
 import heapq
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -69,14 +71,14 @@ from .intpoly import IntPoly, cycle_poly, pack
 
 MAX_ALL_GRAPHS_N = 13
 # the pruned unicyclic scan confirms {C_n, D_n} at every odd 23 <= n <= 37 in
-# about 1.6 s in all on a 2-core x86-64 machine (n = 27: 0.3 s, n = 33: 1.1 s,
-# every other n under 0.1 s); n = 39 took 3.4 s and 19 MB, and n = 45 10.3 s
-# and 21 MB, in process
+# about 1.0-1.4 s in all on a 2-core x86-64 machine (n = 27: 0.2-0.3 s,
+# n = 33: 0.6-1.1 s, every other n under 0.1 s); n = 39 took 2.2-3.2 s and
+# 17 MB, and n = 45 about 10 s and 19 MB, in process
 MAX_UNICYCLIC_N = 37
 # the unpruned unicyclic scan generates every component of up to n vertices
-# and pools those of up to n - 3: n = 17 (1,363,817 components) took 4-5 s
+# and pools those of up to n - 3: n = 17 (1,363,817 components) took 2.2-3.4 s
 # and 91 MB peak RSS on a 2-core x86-64 machine, in process.  The cap is one
-# of time: n = 19 holds about 7.9x more components, some 30-40 s' work
+# of time: n = 19 holds about 7.9x more components, some 20-30 s' work
 MAX_UNPRUNED_UNICYCLIC_N = 17
 # `unicyclic <v>` labels every graph and keeps one row per graph: v = 15
 # (110,381 graphs) took 55 s and 144 MB on a 2-core x86-64 machine, and each
@@ -486,7 +488,16 @@ def structured_class_search(n: int,
 class RootedTree:
     """A rooted tree up to isomorphism: `last`, a child of largest shape,
     and `base`, the tree with the root's other children (both None for a
-    single vertex), and `shape`, its canonical nested tuple.
+    single vertex), and `shape`, its canonical key.
+
+    The key is the AHU encoding (Aho, Hopcroft and Ullman, 1974) as a
+    balanced string: "b", the keys of the root's children in ascending
+    order, then "a", so a single vertex is "ba".  A key returns to depth
+    zero only at its end, so no key is a proper prefix of another, and
+    string order is the order of the nested tuples of sorted child
+    encodings: where two child lists first differ, the keys differ inside
+    that child, and where one list is a proper prefix of the other, the
+    shorter key meets its closing "a" where the longer has its next "b".
 
     Carries the branch-vertex weights that the degree-census prefilter uses
     and (w0, w1), the independence polynomials of the tree with its root
@@ -501,15 +512,17 @@ class RootedTree:
         self.base = base
         self.last = last
         if base is None:
-            self.shape = ()
+            self.shape = "ba"
             self.inner_weight = self.attach_weight = 0
             self.w0, self.w1 = 1, 1 << bits
             return
-        self.shape = base.shape + (last.shape,)
+        self.shape = base.shape[:-1] + last.shape + "a"
         # the root's C(degree, 2) grows by the base's degree
         self.inner_weight = base.attach_weight + last.inner_weight
-        # on a cycle vertex the root's C(degree, 2) becomes C(degree + 1, 2)
-        self.attach_weight = self.inner_weight + len(self.shape)
+        # on a cycle vertex the root's C(degree, 2) becomes C(degree + 1, 2):
+        # it grows by the root's child count, the base's plus 1
+        self.attach_weight = (self.inner_weight + base.attach_weight
+                              - base.inner_weight + 1)
         self.w0 = base.w0 * (last.w0 + last.w1)
         self.w1 = base.w1 * last.w0
 
@@ -544,13 +557,13 @@ def _rooted_trees(caps: list, bits: int) -> list[list[RootedTree]]:
         for j in range(1, s):
             for base in trees[s - j]:
                 room = caps[s] - base.attach_weight
-                floor = () if base.last is None else base.last.shape
+                floor = "" if base.last is None else base.last.shape
                 for child in reversed(trees[j]):
                     if child.shape < floor:
                         break
                     if child.inner_weight <= room:
                         made.append(RootedTree(base, child, bits))
-        made.sort(key=lambda t: t.shape)
+        made.sort(key=operator.attrgetter("shape"))
         trees.append(made)
     return trees
 
@@ -563,18 +576,30 @@ def _necklace_graph(c: int, trees: tuple[RootedTree, ...]) -> Graph:
     return Graph(next_label, edges)
 
 
-#: A connected unicyclic graph as the necklace walk yields it and the
-#: unicyclic pool holds it: (vertex count, cycle length, rooted trees hung
-#: on the cycle positions, independence polynomial).
+#: A connected unicyclic graph as the unicyclic pool holds it: (vertex
+#: count, cycle length, rooted trees hung on the cycle positions,
+#: independence polynomial).
 Necklace = tuple[int, int, tuple[RootedTree, ...], int]
+
+#: A tree the walk may place, as a size's table holds it: (code, attach
+#: weight, w0, w1, tree).
+Entry = tuple[str, int, int, int, RootedTree]
+
+#: What the necklace walk hands over per prefix and size: emit(v, c, head,
+#: whole, a, run) stands for the graphs on v vertices whose cycle of length
+#: c carries the trees of head and then one entry of run, in run's order;
+#: the graph ending in entry (_, _, w0, w1, t) has I(G, x) = whole*w0 + a*w1.
+NecklaceRuns = Callable[
+    [int, int, tuple[RootedTree, ...], int, int, list[Entry]], None]
 
 
 def unicyclic_necklaces(budgets: dict[int, Optional[int]], bits: int,
-                        emit: Callable[[Necklace], None]) -> None:
+                        emit: NecklaceRuns) -> None:
     """Hand emit the connected unicyclic graphs, one per isomorphism class,
     on each vertex count v in budgets whose total attach weight is at most
     budgets[v] (None: unbounded), with I(G, x) packed in `bits`-wide slots.
-    Each graph is handed over as the walk finds it; none is kept.
+    They are handed over as the walk finds them, one run of last positions
+    per prefix and size (`NecklaceRuns`); none is kept.
 
     Each class appears once, as the dihedral-minimal sequence of tree shapes
     around its unique cycle.  One walk per cycle length c fills the
@@ -609,22 +634,27 @@ def unicyclic_necklaces(budgets: dict[int, Optional[int]], bits: int,
     whichever is larger.  The bounds cut no prefix that a sequence kept by
     the reversal check extends, so the output and its order are unchanged.
 
-    The last position checks the reversal once per prefix, not once per
-    code: with the first c - 1 codes fixed, the last codes that pass form
-    an up-set.  Let r < r', and let a rotation R' of r' + reversed(head) be
-    smaller than head + r'; the same rotation R of r + reversed(head) is
+    The last position hands over a run, not one graph at a time: with the
+    first c - 1 codes fixed, the last codes that pass the reversal check
+    form an up-set.  Let r < r', and let a rotation R' of r' + reversed(head)
+    be smaller than head + r'; the same rotation R of r + reversed(head) is
     then smaller than head + r.  r' sits once in R', at j say.  If R' and
     head + r' first differ before j, putting r for r' changes neither
     before that place.  Otherwise j < c - 1, as both hold r' at c - 1, so
     head[j] >= r' > r, and R, equal to head + r before j, is smaller at j.
-    So the least code passed so far admits every code at or above it, and
-    only the codes below it are checked.
+    So per size the last position scans up from its start code, checks the
+    reversal only for codes below the least one passed so far at this
+    prefix, and stops at the first code that passes: every later code in
+    the size's slice passes too, and the slice from there is the run.  When
+    the size's budget room holds its heaviest tree, as it always does
+    unbounded, the run is that slice itself; otherwise the slice filtered by
+    weight.
 
     The walk carries the cycle's two-state sweep down the positions (first
-    root out or in, current root out or in), so each graph's polynomial
-    costs one combine at the last position.  Graphs come out by c, and
-    within c in the walk's order, which puts each v's in nested order: per
-    position, tree sizes ascending, then shapes.
+    root out or in, current root out or in), so the consumer gets each
+    graph's polynomial as one combine, whole*w0 + a*w1.  Graphs come out by
+    c, and within c in the walk's order, which puts each v's in nested
+    order: per position, tree sizes ascending, then shapes.
     """
     served = sorted(budgets)
     top = served[-1]
@@ -650,9 +680,10 @@ def unicyclic_necklaces(budgets: dict[int, Optional[int]], bits: int,
     # a pooled tree with code >= r, and top past the last code
     tables = {s: ([], []) for s in pools}
     spare = []
-    for t, s in heapq.merge(*(zip(pool, itertools.repeat(s))
-                              for s, pool in pools.items()),
-                            key=lambda entry: entry[0].shape):
+    # (keys are distinct, so the merge never compares past them)
+    keyed = (zip(map(operator.attrgetter("shape"), pool), itertools.repeat(s),
+                 pool) for s, pool in pools.items())
+    for _, s, t in heapq.merge(*keyed):
         r = chr(len(spare))
         spare.append(s - 1)
         codes, entries = tables[s]
@@ -666,11 +697,13 @@ def unicyclic_necklaces(budgets: dict[int, Optional[int]], bits: int,
     # cut[k]: the least code whose spare exceeds k
     cut = [chr(bisect.bisect_right(spare, k)) for k in range(top + 1)]
     for s, (codes, entries) in tables.items():
-        # sufmin[i]: the least weight in entries[i:], for the exact early exit
+        # sufmin[i]: the least weight in entries[i:], for the exact early
+        # exit; heaviest: the most any entry weighs
         sufmin = [aw for _, aw, _, _, _ in entries]
+        heaviest = max(sufmin, default=0)
         for i in range(len(sufmin) - 2, -1, -1):
             sufmin[i] = min(sufmin[i], sufmin[i + 1])
-        tables[s] = (codes, sufmin, entries)
+        tables[s] = (codes, sufmin, entries, heaviest)
 
     for c in range(3, top + 1):
         seq = [""] * c
@@ -700,7 +733,7 @@ def unicyclic_necklaces(budgets: dict[int, Optional[int]], bits: int,
                 room = reach[after] - weight
                 if room < 0:
                     break
-                codes, sufmin, entries = tables[s]
+                codes, sufmin, entries, _ = tables[s]
                 lo = bisect.bisect_left(codes, floor)
                 hi = bisect.bisect_right(sufmin, room)
                 if p == 1:
@@ -741,23 +774,33 @@ def unicyclic_necklaces(budgets: dict[int, Optional[int]], bits: int,
             ok = past
             for v in served[bisect.bisect_left(served, least):]:
                 room = limits[v] - weight
-                codes, sufmin, entries = tables[v - used + 1]
+                codes, sufmin, entries, heaviest = tables[v - used + 1]
                 lo = bisect.bisect_left(codes, start)
                 hi = bisect.bisect_right(sufmin, room)
-                for r, aw, w0, w1, t in entries[lo:hi]:
+                # the run starts at the first fitting code below ok that
+                # passes, or else at the first code >= ok
+                below = bisect.bisect_left(codes, ok, lo, hi)
+                for i in range(lo, below):
+                    r, aw, _, _, _ = entries[i]
                     if aw > room:
                         continue
-                    if r < ok:
-                        key = head + r
-                        rev = r + back
-                        rev += rev
-                        k = rev.find(lead)
-                        while k < c and rev[k:k + c] >= key:
-                            k = rev.find(lead, k + 1)
-                        if k < c:
-                            continue
+                    key = head + r
+                    rev = r + back
+                    rev += rev
+                    k = rev.find(lead)
+                    while k < c and rev[k:k + c] >= key:
+                        k = rev.find(lead, k + 1)
+                    if k >= c:
                         ok = r
-                    emit((v, c, kept + (t,), whole * w0 + a * w1))
+                        break
+                else:
+                    i = below
+                if room >= heaviest:
+                    run = entries[i:hi]
+                else:
+                    run = [e for e in entries[i:hi] if e[1] <= room]
+                if run:
+                    emit(v, c, kept, whole, a, run)
 
         # the state before position 0 makes its update (w0, 0, 0, w1)
         walk(0, c, 0, 1, "\0", 0, 1, 1, -1)
@@ -772,9 +815,10 @@ def enumerate_unicyclic(v: int, emit: Callable[[Graph], None]) -> None:
             f"(MAX_UNICYCLIC_LIST_V), got {v}"
         )
 
-    def build(necklace: Necklace):
-        _, c, trees, _ = necklace
-        emit(_necklace_graph(c, trees))
+    def build(v: int, c: int, head: tuple[RootedTree, ...], whole: int,
+              a: int, run: list[Entry]):
+        for entry in run:
+            emit(_necklace_graph(c, head + (entry[-1],)))
 
     unicyclic_necklaces({v: None}, v + 1, build)
 
@@ -806,14 +850,13 @@ def _divisor_table(n: int, bits: int) -> dict[int, tuple[int, int]]:
 
 
 def _admit_components(n: int, table: Optional[dict[int, tuple[int, int]]],
-                      stats: dict[str, int],
-                      emit: Callable[[Necklace], None]) -> None:
+                      stats: dict[str, int], emit: NecklaceRuns) -> None:
     """Hand emit the candidate connected components for members of the
-    class of C_n as the necklace walk finds them.  With a divisor table
-    (`_divisor_table`), only components whose packed polynomial is in it
-    are admitted, and the others are counted in stats by the filter that
-    dropped them; without one, every component of up to n vertices goes
-    straight to emit."""
+    class of C_n as the necklace walk finds them, in its runs.  With a
+    divisor table (`_divisor_table`), only components whose packed
+    polynomial is in it are admitted, and the others are counted in stats
+    by the filter that dropped them; without one, every component of up to
+    n vertices goes straight to emit."""
     if table is None:
         unicyclic_necklaces(dict.fromkeys(range(3, n + 1)), n + 1, emit)
         return
@@ -822,14 +865,19 @@ def _admit_components(n: int, table: Optional[dict[int, tuple[int, int]]],
         classes.setdefault(v, set()).add(m)
     budgets = {v: max(ms) + 1 for v, ms in classes.items() if max(ms) >= -1}
 
-    def admit(comp: Necklace):
-        v, c, trees, poly = comp
-        if poly in table:
-            emit(comp)
-            return
-        wt = sum(t.attach_weight for t in trees) - (1 if c == 3 else 0)
-        stats["components_pruned_census" if wt not in classes[v]
-              else "components_pruned_divisor"] += 1
+    def admit(v: int, c: int, head: tuple[RootedTree, ...], whole: int,
+              a: int, run: list[Entry]):
+        base = sum(t.attach_weight for t in head) - (1 if c == 3 else 0)
+        kept = []
+        for entry in run:
+            if whole * entry[2] + a * entry[3] in table:
+                kept.append(entry)
+            else:
+                stats["components_pruned_census"
+                      if base + entry[1] not in classes[v]
+                      else "components_pruned_divisor"] += 1
+        if kept:
+            emit(v, c, head, whole, a, kept)
 
     unicyclic_necklaces(budgets, n + 1, admit)
 
@@ -855,23 +903,26 @@ def _exhaustive_unicyclic(n: int, cache: PolyCache, prune: bool,
     # arrives.  One on n - 1 or n - 2 vertices is in no multiset, since no
     # cycle fits in the 1 or 2 vertices left.  Only the rest are pooled.
     pool: list[Necklace] = []
-    taken = whole = 0
+    taken = single = 0
 
-    def take(comp: Necklace):
-        nonlocal taken, whole
-        taken += 1
-        if comp[0] == n:
-            whole += 1
-            if comp[3] == goal:
-                accept([comp])
-        elif comp[0] <= n - 3:
-            pool.append(comp)
+    def take(v: int, c: int, head: tuple[RootedTree, ...], whole: int,
+             a: int, run: list[Entry]):
+        nonlocal taken, single
+        taken += len(run)
+        if v == n:
+            single += len(run)
+            for _, _, w0, w1, t in run:
+                if whole * w0 + a * w1 == goal:
+                    accept([(v, c, head + (t,), goal)])
+        elif v <= n - 3:
+            pool.extend((v, c, head + (t,), whole * w0 + a * w1)
+                        for _, _, w0, w1, t in run)
 
     _admit_components(n, table, stats, take)
     stats["components_generated"] = (taken + stats["components_pruned_census"]
                                      + stats["components_pruned_divisor"])
     stats["components_admitted"] = taken
-    stats["multisets_tested"] = whole
+    stats["multisets_tested"] = single
     # stable, so each size keeps the walk's order; the pool runs from large
     # components to small: fits[r] is the first entry on at most r
     # vertices, so no level walks past the larger ones

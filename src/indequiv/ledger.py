@@ -80,7 +80,10 @@ def run_ledger(max_n: int = 45,
                cache: Optional[PolyCache] = None) -> list[LedgerEntry]:
     """Recompute the pinned values; max_n bounds the class-list sweep."""
     if max_n < 15:
-        raise ValueError("max_n must be at least 15 to cover the known classes")
+        raise ValueError(
+            "max_n must be at least 15 to cover the known classes, "
+            f"got {max_n}"
+        )
     if max_n > MAX_COMPONENT_VERTICES:
         # the sweep names each class by canonical key, and C_n is a component
         raise ValueError(

@@ -169,9 +169,10 @@ def walk_necklaces(budgets, bits):
     with the polynomial unpacked."""
     found = {v: [] for v in budgets}
 
-    def keep(necklace):
-        v, c, trees, poly = necklace
-        found[v].append((c, trees, unpack(poly, bits)))
+    def keep(v, c, head, whole, a, run):
+        for _, _, w0, w1, t in run:
+            poly = unpack(whole * w0 + a * w1, bits)
+            found[v].append((c, head + (t,), poly))
 
     unicyclic_necklaces(budgets, bits, keep)
     return found
@@ -194,7 +195,7 @@ def test_necklace_poly_matches_bruteforce():
 
 # OEIS A001429: connected unicyclic graphs on v nodes, v = 3, 4, ...
 A001429 = (1, 2, 5, 13, 33, 89, 240, 657, 1806, 5026, 13999, 39260, 110381,
-           311465)
+           311465, 880840)
 
 
 @pytest.mark.parametrize("v", [
@@ -202,9 +203,14 @@ A001429 = (1, 2, 5, 13, 33, 89, 240, 657, 1806, 5026, 13999, 39260, 110381,
     for v in range(3, 17)
 ])
 def test_necklace_counts_match_oeis(v):
-    found = []
-    unicyclic_necklaces({v: None}, v + 1, found.append)
-    assert len(found) == A001429[v - 3]
+    found = 0
+
+    def count(v, c, head, whole, a, run):
+        nonlocal found
+        found += len(run)
+
+    unicyclic_necklaces({v: None}, v + 1, count)
+    assert found == A001429[v - 3]
 
 
 def test_one_walk_serving_every_size_counts_match_oeis():
@@ -212,8 +218,8 @@ def test_one_walk_serving_every_size_counts_match_oeis():
     # codes below the least that another size's reversal check passed
     counts = dict.fromkeys(range(3, 13), 0)
 
-    def count(necklace):
-        counts[necklace[0]] += 1
+    def count(v, c, head, whole, a, run):
+        counts[v] += len(run)
 
     unicyclic_necklaces(dict.fromkeys(counts), 13, count)
     assert list(counts.values()) == list(A001429[:10])
@@ -358,17 +364,25 @@ def ahu_shape(edges, root):
     return encode(root, None)
 
 
+def ahu_key(shape):
+    """The balanced-string key of a nested-tuple AHU encoding: "b", the
+    children's keys in order, then "a"."""
+    return "b" + "".join(map(ahu_key, shape)) + "a"
+
+
 def test_rooted_tree_table_against_independent_oracles():
     bits = 11
     trees = _rooted_trees([math.inf] * 15, bits)
     assert [len(trees[s]) for s in range(1, 15)] == list(A000081)
+    encoded = {}  # every key, on every size, to its nested tuple
     for s in range(1, 15):
         made = [t.shape for t in trees[s]]
         assert made == sorted(set(made))  # distinct, in shape order
         for t in trees[s]:
             edges = []
             assert t.edges(0, 1, edges) == s
-            assert ahu_shape(edges, 0) == t.shape
+            encoded[t.shape] = ahu_shape(edges, 0)
+            assert ahu_key(encoded[t.shape]) == t.shape
             # edges run parent to child: inner weight sums C(children, 2)
             children = [0] * s
             for u, _ in edges:
@@ -380,6 +394,13 @@ def test_rooted_tree_table_against_independent_oracles():
                 assert t.w0 == pack(indpoly(delete_vertex(g, 0)), bits)
                 assert t.w1 == pack(
                     X * indpoly(delete_closed_neighborhood(g, 0)), bits)
+    # the string keys of all sizes together sort as the nested tuples, and
+    # none is a proper prefix of another (in sorted order a key's
+    # extensions would follow it directly)
+    keys = sorted(encoded)
+    assert len(keys) == sum(A000081)
+    assert keys == sorted(encoded, key=encoded.__getitem__)
+    assert not any(b.startswith(a) for a, b in zip(keys, keys[1:]))
 
 
 @pytest.mark.parametrize("caps", [
@@ -642,7 +663,8 @@ def multiset_count(n, counts):
 
 
 @pytest.mark.parametrize("n", [
-    9, 11, 13, pytest.param(15, marks=pytest.mark.slow),
+    9, 11, 13, *(pytest.param(n, marks=pytest.mark.slow)
+                 for n in (15, MAX_UNPRUNED_UNICYCLIC_N)),
 ])
 def test_unpruned_oracle_stats_match_independent_counts(n):
     # every connected unicyclic graph on 3..n vertices is generated and
@@ -656,6 +678,8 @@ def test_unpruned_oracle_stats_match_independent_counts(n):
     if n == 15:
         assert sum(counts.values()) == 171512
         assert stats["multisets_tested"] == 129327
+    if n == 17:
+        assert sum(counts.values()) == 1363817
 
 
 def test_unpruned_oracle_pools_only_what_can_share_a_multiset():
@@ -895,8 +919,12 @@ def test_census_prefilter_admits_exactly_the_dividing_components(n):
         "components_pruned_divisor": 0,
     }
     pool = []
-    _admit_components(n, _divisor_table(n, n + 1), stats, pool.append)
-    filtered = {canonical_key(_necklace_graph(c, trees)) for _, c, trees, _ in pool}
+
+    def keep(v, c, head, whole, a, run):
+        pool.extend((c, head + (t,)) for _, _, _, _, t in run)
+
+    _admit_components(n, _divisor_table(n, n + 1), stats, keep)
+    filtered = {canonical_key(_necklace_graph(c, trees)) for c, trees in pool}
     assert filtered == unfiltered
 
 

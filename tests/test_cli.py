@@ -124,6 +124,8 @@ GOLDEN = Path(__file__).parent / "golden"
     (("class", "21", "--mode", "unicyclic"), "class_21_unicyclic.json"),
     (("class", "13", "--mode", "unicyclic", "--no-prune"),
      "class_13_unicyclic_no_prune.json"),
+    (("class", "15", "--mode", "unicyclic", "--no-prune"),
+     "class_15_unicyclic_no_prune.json"),
 ])
 def test_json_output_matches_golden_bytes(capsys, argv, name):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
@@ -252,6 +254,12 @@ def test_verify_paper_beyond_the_canonical_limit_is_refused_up_front(capsys):
     assert time.perf_counter() - started < 0.5
     assert code == 1 and out == ""
     assert "MAX_COMPONENT_VERTICES" in err and "128" in err
+
+
+def test_verify_paper_below_the_known_classes_is_refused(capsys):
+    code, out, err = run_cli(capsys, "verify-paper", "--max-n", "13")
+    assert code == 1 and out == ""
+    assert "15" in err and "got 13" in err
 
 
 def test_verify_paper_failure_exit_code(capsys, monkeypatch):
