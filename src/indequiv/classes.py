@@ -817,8 +817,8 @@ def enumerate_unicyclic(v: int, emit: Callable[[Graph], None]) -> None:
 
     def build(v: int, c: int, head: tuple[RootedTree, ...], whole: int,
               a: int, run: list[Entry]):
-        for entry in run:
-            emit(_necklace_graph(c, head + (entry[-1],)))
+        for _, _, _, _, t in run:
+            emit(_necklace_graph(c, head + (t,)))
 
     unicyclic_necklaces({v: None}, v + 1, build)
 
