@@ -135,13 +135,18 @@ def connected_canonical_form(g: Graph) -> tuple[bytes, tuple[int, ...]]:
     return n.to_bytes(2, "big") + packed, order
 
 
+def join_component_keys(n: int, parts: list[bytes]) -> bytes:
+    """The key of an n-vertex graph whose components have the connected
+    keys in parts: n, the component count, then the parts sorted."""
+    parts = sorted(parts)
+    return n.to_bytes(2, "big") + len(parts).to_bytes(2, "big") + b"".join(parts)
+
+
 def canonical_key(g: Graph) -> bytes:
     """Exact isomorphism key: per-component canonical forms, sorted."""
-    parts = sorted(
+    return join_component_keys(g.n, [
         connected_canonical_form(g.subgraph(vs))[0] for vs in component_vertex_sets(g)
-    )
-    header = g.n.to_bytes(2, "big") + len(parts).to_bytes(2, "big")
-    return header + b"".join(parts)
+    ])
 
 
 def canonical_form(g: Graph) -> tuple[bytes, Graph]:
@@ -160,6 +165,5 @@ def canonical_form(g: Graph) -> tuple[bytes, Graph]:
             inverse[v] = pos
         comps.append((key, sub.relabel(inverse)))
     comps.sort(key=lambda kg: kg[0])
-    header = g.n.to_bytes(2, "big") + len(comps).to_bytes(2, "big")
-    key = header + b"".join(k for k, _ in comps)
+    key = join_component_keys(g.n, [k for k, _ in comps])
     return key, union(*(cg for _, cg in comps))

@@ -40,7 +40,6 @@ The two must agree; the test suite enforces it.
 from __future__ import annotations
 
 import bisect
-import heapq
 import itertools
 import math
 import operator
@@ -53,6 +52,8 @@ from .canon import (
     CanonicalRefusalError,
     canonical_form,
     canonical_key,
+    connected_canonical_form,
+    join_component_keys,
 )
 from .census import subgraph_census
 from .factors import divisors, f_poly_by_division
@@ -69,7 +70,11 @@ from .gspec import parse_spec
 from .indpoly import PolyCache, indpoly, indpoly_bruteforce
 from .intpoly import IntPoly, cycle_poly, pack
 
-MAX_ALL_GRAPHS_N = 13
+# the all-graphs scan keeps every class under the cubic bound on each level:
+# n = 14 (16,886 classes) took 5.8 s and 40 MB peak RSS, and n = 15 (37,549
+# classes, the class of C_15) 14.2 s and 73 MB, on a 2-core x86-64 machine,
+# in process.  Each step of n multiplies the classes by about 2.2
+MAX_ALL_GRAPHS_N = 15
 # the pruned unicyclic scan confirms {C_n, D_n} at every odd 23 <= n <= 37 in
 # about 1.0-1.4 s in all on a 2-core x86-64 machine (n = 27: 0.2-0.3 s,
 # n = 33: 0.6-1.1 s, every other n under 0.1 s); n = 39 took 2.2-3.2 s and
@@ -676,14 +681,13 @@ def unicyclic_necklaces(budgets: dict[int, Optional[int]], bits: int,
              for s in range(1, top - 1)}
     del by_size
     # shapes compare as one-character codes, given in shape order by one
-    # merge of the pools; spare[r]: the fewest vertices beyond its root of
-    # a pooled tree with code >= r, and top past the last code
+    # sort of the pooled trees; spare[r]: the fewest vertices beyond its
+    # root of a pooled tree with code >= r, and top past the last code
     tables = {s: ([], []) for s in pools}
     spare = []
-    # (keys are distinct, so the merge never compares past them)
-    keyed = (zip(map(operator.attrgetter("shape"), pool), itertools.repeat(s),
-                 pool) for s, pool in pools.items())
-    for _, s, t in heapq.merge(*keyed):
+    for t in sorted(itertools.chain.from_iterable(pools.values()),
+                    key=operator.attrgetter("shape")):
+        s = len(t.shape) // 2  # a shape spends two characters per vertex
         r = chr(len(spare))
         spare.append(s - 1)
         codes, entries = tables[s]
@@ -995,16 +999,41 @@ def _graph_levels(
     Adding an edge never lowers S, so every edge-deleted subgraph of a
     class within the bound is, up to isomorphism, a representative one
     level down: the levels miss no class.
+
+    Each representative keeps its components as (vertex mask, connected
+    key).  Adding uv merges the component of u with that of v and leaves
+    the others as they were, so a candidate's key is assembled from theirs
+    and the merged component's (`join_component_keys`, the bytes of
+    `canonical_key`).  The merged component is labelled once per scan for
+    each dense labelled form, its vertices renumbered in order, and the
+    candidate's graph is built only when its key is new to the level.
     """
+    single = connected_canonical_form(Graph(1))[0]
     level = {canonical_key(Graph(n)): (Graph(n), 0)}
+    parts = {key: tuple((1 << x, single) for x in range(n)) for key in level}
+    # a component's dense edge bit b(b - 1)/2 + a stands for its vertex
+    # pair (a, b), a < b; labelled maps those bits, shifted past the
+    # component's size, to its connected key
+    pairs = [(a, b) for b in range(n) for a in range(b)]
+    width = n.bit_length()
+    labelled: dict[int, bytes] = {}
+    rank = [0] * n
     while level:
         yield level
         grown: dict[bytes, tuple[Graph, int]] = {}
-        for g, s in level.values():
+        grown_parts: dict[bytes, tuple[tuple[int, bytes], ...]] = {}
+        for key, (g, s) in level.items():
             adj = g.adjacency_masks()
             # twins: non-adjacent vertices with equal neighbourhoods, which
             # swapping maps onto each other; first[v] is v's least twin
             first = [adj.index(a) for a in adj]
+            comps = parts[key]
+            where = [0] * n
+            for i, (mask, _) in enumerate(comps):
+                while mask:
+                    low = mask & -mask
+                    where[low.bit_length() - 1] = i
+                    mask ^= low
             for u, v in itertools.combinations(range(n), 2):
                 if adj[u] >> v & 1:
                     continue
@@ -1018,9 +1047,40 @@ def _graph_levels(
                       - (adj[u] & adj[v]).bit_count())
                 if s2 > s_bound:
                     continue
-                h = Graph(n, [*g.edges, (u, v)])
-                grown.setdefault(canonical_key(h), (h, s2))
-        level = grown
+                i, j = where[u], where[v]
+                merged = comps[i][0] | comps[j][0]
+                # the merged component's dense edge bits, uv included: its
+                # k-th vertex in order sets one bit per lesser neighbour,
+                # all of which lie in merged, a union of whole components
+                k = code = 0
+                rest = merged
+                while rest:
+                    low = rest & -rest
+                    x = low.bit_length() - 1
+                    rank[x] = k
+                    row = k * (k - 1) >> 1
+                    below = adj[x] & (low - 1)
+                    while below:
+                        bit = below & -below
+                        code |= 1 << (row + rank[bit.bit_length() - 1])
+                        below ^= bit
+                    k += 1
+                    rest ^= low
+                code |= 1 << ((rank[v] * (rank[v] - 1) >> 1) + rank[u])
+                packed = code << width | k
+                ckey = labelled.get(packed)
+                if ckey is None:
+                    ckey = labelled[packed] = connected_canonical_form(Graph(
+                        k, [pairs[p] for p in range(code.bit_length())
+                            if code >> p & 1]))[0]
+                others = [comps[c] for c in range(len(comps))
+                          if c != i and c != j]
+                hkey = join_component_keys(
+                    n, [ck for _, ck in others] + [ckey])
+                if hkey not in grown:
+                    grown[hkey] = (Graph(n, [*g.edges, (u, v)]), s2)
+                    grown_parts[hkey] = (*others, (merged, ckey))
+        level, parts = grown, grown_parts
 
 
 def _exhaustive_all_graphs(n: int, stats: dict[str, int]) -> list[ClassMember]:

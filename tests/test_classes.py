@@ -643,6 +643,31 @@ def test_all_graphs_oracle_matches_structured_at_13():
                             "i4_pass": 42, "polynomials_computed": 42}
 
 
+@pytest.mark.slow
+def test_all_graphs_oracle_matches_structured_at_15():
+    # the class of C_15, with its 8 members, the paper's largest
+    oracle = exhaustive_class_search(15, "all_graphs")
+    structured = structured_class_search(15).member_keys()
+    assert len(structured) == 8
+    assert oracle.member_keys() == structured
+    assert oracle.stats == {"classes_generated": 37549, "i3_leaves": 352,
+                            "i4_pass": 97, "polynomials_computed": 97}
+
+
+@pytest.mark.parametrize("n, bounded", [
+    *((n, False) for n in range(3, 8)), (8, True), (9, True)])
+def test_graph_levels_assemble_the_canonical_keys(n, bounded):
+    # each level's keys are assembled from its representatives' component
+    # keys; they must be the keys canon gives the representatives whole
+    s_bound = math.inf
+    if bounded:
+        target = cycle_poly(n)
+        s_bound = target[3] - math.comb(n, 3) + n * (n - 2)
+    for level in _graph_levels(n, s_bound):
+        for key, (g, _) in level.items():
+            assert key == canonical_key(g), (n, sorted(g.edges))
+
+
 @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
 def test_unicyclic_oracle_matches_structured(n):
     oracle = exhaustive_class_search(n, "unicyclic_multisets")
@@ -705,8 +730,8 @@ def test_divisor_pruning_changes_stats_not_members():
 
 
 def test_exhaustive_guards():
-    with pytest.raises(ValueError, match=r"n <= 13 \(MAX_ALL_GRAPHS_N\), got 14"):
-        exhaustive_class_search(14, "all_graphs")
+    with pytest.raises(ValueError, match=r"n <= 15 \(MAX_ALL_GRAPHS_N\), got 16"):
+        exhaustive_class_search(16, "all_graphs")
     with pytest.raises(ValueError, match=r"n <= 37 \(MAX_UNICYCLIC_N\), got 39"):
         exhaustive_class_search(39, "unicyclic_multisets")
     with pytest.raises(ValueError, match=r"n <= 37 \(MAX_UNICYCLIC_N\), got 8"):
