@@ -3,11 +3,11 @@
 Two independent computations of the class are provided:
 
 * ``structured_class_search`` follows the structural narrowing: besides C_n
-  and the tailed triangle D_n, a disconnected member is C_3 together with
-  divisor cycles (or their D variants) and at most one component from the
-  A/B/E one-cycle families, with parities fixed by the component-count
-  equation.  Every parity-admissible candidate is polynomial-tested exactly
-  rather than eliminated by hand.  Each of these families becomes paths
+  and the tailed triangle D_n, a disconnected member is C_3, at most one
+  divisor cycle C_m or its D variant D_m, and one component from the A/B/E
+  one-cycle families, with parities fixed by the component-count equation.
+  Every parity-admissible candidate is polynomial-tested exactly rather
+  than eliminated by hand.  Each of these families becomes paths
   after one vertex deletion, so the test compares a closed-form polynomial,
   a few products from one packed table of path polynomials, with I(C_n, x);
   only a candidate that matches is built as a graph, and ``indpoly`` must
@@ -368,50 +368,15 @@ def _special_family_params(n: int, kind: str, total: int,
             yield ps
 
 
-def _divisor_cycle_multisets(n: int) -> Iterator[tuple[int, ...]]:
-    """Multisets of proper odd divisors (>= 3) of n summing to n, with at
-    least two parts, in non-increasing order."""
-    parts = [d for d in divisors(n) if d >= 3 and d % 2 == 1 and d < n]
-    parts.sort(reverse=True)
-
-    def rec(remaining: int, idx: int, chosen: tuple[int, ...]):
-        if remaining == 0:
-            if len(chosen) >= 2:
-                yield chosen
-            return
-        for i in range(idx, len(parts)):
-            p = parts[i]
-            if p <= remaining:
-                yield from rec(remaining - p, i, chosen + (p,))
-
-    yield from rec(n, 0, ())
-
-
-def _cd_variants(ms: tuple[int, ...]) -> Iterator[Candidate]:
-    """All cycle/tailed-triangle substitutions of a divisor multiset."""
-    choices = [
-        (("C", (m,)),) if m < 4 else (("C", (m,)), ("D", (m,))) for m in ms
-    ]
-    yield from itertools.product(*choices)
-
-
-def _structured_candidates(n: int, stats: dict[str, int]) -> list[Candidate]:
+def _structured_candidates(n: int) -> list[Candidate]:
     """Every candidate of the structural narrowing for the class of C_n, in
-    a fixed order; counts the divisor multisets it scans in stats."""
+    a fixed order."""
     candidates: list[Candidate] = [(("C", (n,)),)]
     if n >= 4:
         candidates.append((("D", (n,)),))
 
-    # members that are disjoint unions of divisor cycles (or D variants),
-    # their polynomials multiplied packed in (n+1)-bit slots
-    bits = n + 1
-    target = pack(cycle_poly(n), bits)
-    cycles = {m: pack(cycle_poly(m), bits) for m in divisors(n) if m >= 3}
-    for ms in _divisor_cycle_multisets(n):
-        stats["divisor_multisets_scanned"] += 1
-        if math.prod(cycles[m] for m in ms) == target:
-            candidates.extend(_cd_variants(ms))
-
+    # no union of k >= 2 divisor cycles (or D variants) is a member: each has
+    # alpha = (m - 1)/2, so the union's degree (n - k)/2 is below (n - 1)/2
     if n % 3 == 0 and n > 3:
         c3 = ("C", (3,))
         # r = 2: C_3 plus one special component
@@ -421,7 +386,7 @@ def _structured_candidates(n: int, stats: dict[str, int]) -> list[Candidate]:
                 candidates.append((c3, (kind, ps)))
         # r = 3: C_3, one divisor cycle (or its D variant), one special
         for m in divisors(n):
-            if m < 5 or m % 2 == 0 or m % 3 == 0 or m >= n:
+            if m < 5 or m % 3 == 0 or m >= n:
                 continue
             for kind in "AEB":
                 body = n - 3 - m - family_vertex_count(kind, ())
@@ -453,13 +418,12 @@ def structured_class_search(n: int,
     stats = {
         "candidates_generated": 0,
         "polynomial_tests": 0,
-        "divisor_multisets_scanned": 0,
     }
     members: dict[bytes, ClassMember] = {}
     bits = n + 1
     p = _path_table(n, bits)
     packed_target = pack(target, bits)
-    for candidate in _structured_candidates(n, stats):
+    for candidate in _structured_candidates(n):
         stats["candidates_generated"] += 1
         if _candidate_size(candidate) != n:
             raise AssertionError(

@@ -25,6 +25,7 @@ from indequiv.classes import (
     _rooted_trees,
     _structured_candidates,
 )
+from indequiv.factors import divisors
 from indequiv.graphs import (
     Graph,
     a_graph,
@@ -517,12 +518,36 @@ def test_structured_candidate_order_invariance(monkeypatch):
     plain = {n: structured_class_search(n) for n in (9, 15)}
     forward = classes._structured_candidates
     monkeypatch.setattr(classes, "_structured_candidates",
-                        lambda n, stats: forward(n, stats)[::-1])
+                        lambda n: forward(n)[::-1])
     for n, want in plain.items():
         got = structured_class_search(n)
         assert len(got.members) == len(want.members) > 2
         for m, w in zip(got.members, want.members):
             assert (m.graph6, m.description, m.key) == (w.graph6, w.description, w.key)
+
+
+def test_no_union_of_divisor_cycles_is_in_the_class():
+    # why the structured search generates no union of k >= 2 proper divisor
+    # cycles: each C_m has alpha = (m - 1)/2, so the union's degree (n - k)/2
+    # is below deg I(C_n) = (n - 1)/2.  The ledger's cycle-tail entry has
+    # I(D_m) = I(C_m) for every m here (all <= 42), so D variants are covered
+    def multisets(rest, parts):
+        if rest == 0:
+            yield ()
+        for i, m in enumerate(parts):
+            if m <= rest:
+                for tail in multisets(rest - m, parts[i:]):
+                    yield (m,) + tail
+
+    count = 0
+    for n in range(3, 128, 2):
+        parts = [m for m in divisors(n) if 3 <= m < n]
+        for ms in multisets(n, parts):
+            count += 1
+            product = math.prod(map(cycle_poly, ms))
+            assert product.degree == (n - len(ms)) // 2 < (n - 1) // 2, ms
+            assert product != cycle_poly(n), ms
+    assert count == 745
 
 
 # --- closed-form family polynomials -------------------------------------------
@@ -556,7 +581,7 @@ def test_closed_forms_match_bruteforce_up_to_16_vertices():
     candidates = [(part,) for part in _family_parts(16)]
     assert len(candidates) == 469
     for n in range(3, 16, 2):
-        candidates += _structured_candidates(n, {"divisor_multisets_scanned": 0})
+        candidates += _structured_candidates(n)
     assert len(candidates) == 469 + 72
     for candidate in candidates:
         g = parse_spec(_candidate_name(candidate))
@@ -570,7 +595,7 @@ def test_closed_forms_match_indpoly_on_every_candidate_up_to_45():
     count = 0
     for n in range(3, 46, 2):
         p = _path_table(n, n + 1)
-        for candidate in _structured_candidates(n, {"divisor_multisets_scanned": 0}):
+        for candidate in _structured_candidates(n):
             count += 1
             want = indpoly(parse_spec(_candidate_name(candidate)), cache)
             assert closed_form_poly(candidate, n, p) == want, \
@@ -593,7 +618,7 @@ def test_every_candidate_is_size_checked(monkeypatch):
     from indequiv import classes
 
     monkeypatch.setattr(classes, "_structured_candidates",
-                        lambda n, stats: [(("C", (n,)), ("C", (3,)))])
+                        lambda n: [(("C", (n,)), ("C", (3,)))])
     with pytest.raises(AssertionError, match=r"candidate C9\+C3 has wrong size"):
         structured_class_search(9)
 
@@ -959,7 +984,6 @@ def test_divisor_table_holds_every_divisor_once(n):
     # distinct, and each divides I(C_n, x) exactly, with its vertex count
     # as the linear coefficient
     from indequiv.classes import _divisor_table
-    from indequiv.factors import divisors
     from indequiv.intpoly import poly_exact_div
 
     bits = n + 1
