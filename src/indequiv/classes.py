@@ -33,7 +33,13 @@ Two independent computations of the class are provided:
   its irreducible factors f_m, packed alike: a component is kept, and a
   partial multiset extended, only while its packed product is in that
   table.  A component's graph is built only when its multiset
-  matches the target, and ``indpoly`` of the union then confirms it.
+  matches the target, and ``indpoly`` of the union must then confirm it:
+  a packed match that ``indpoly`` contradicts raises AssertionError.
+
+Each search returns the graphs it has confirmed, and one builder,
+``_class_report``, makes the members: it labels each graph by
+``canonical_form``, names and checks it, keeps the first graph per
+canonical key, and orders the members by key.
 
 The two must agree; the test suite enforces it.
 """
@@ -273,15 +279,21 @@ def _distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
-def _make_member(g: Graph, n: int, poly: IntPoly) -> ClassMember:
-    key, labelled = canonical_form(g)
-    return ClassMember(
-        key=key,
-        description=describe_graph(g),
-        graph6=emit_graph6(labelled),
-        poly=poly,
-        checks=structural_checks(g, n),
-    )
+def _class_report(n: int, mode: str, started: float, graphs: list[Graph],
+                  stats: dict[str, int]) -> ClassReport:
+    """The report of a search begun at `started` that confirmed `graphs` as
+    members of the class of C_n: one member per canonical key, the first
+    graph found with it, in key order."""
+    target = cycle_poly(n)
+    members: dict[bytes, ClassMember] = {}
+    for g in graphs:
+        key, labelled = canonical_form(g)
+        if key not in members:
+            members[key] = ClassMember(key, describe_graph(g),
+                                       emit_graph6(labelled), target,
+                                       structural_checks(g, n))
+    return ClassReport(n, mode, [members[k] for k in sorted(members)], stats,
+                       time.perf_counter() - started)
 
 
 # --- structured search ------------------------------------------------------
@@ -419,7 +431,7 @@ def structured_class_search(n: int,
         "candidates_generated": 0,
         "polynomial_tests": 0,
     }
-    members: dict[bytes, ClassMember] = {}
+    graphs = []
     bits = n + 1
     p = _path_table(n, bits)
     packed_target = pack(target, bits)
@@ -438,17 +450,8 @@ def structured_class_search(n: int,
                 f"the closed form of candidate {_candidate_name(candidate)} "
                 f"equals I(C_{n}, x), but indpoly disagrees"
             )
-        member = _make_member(g, n, target)
-        members.setdefault(member.key, member)
-
-    ordered = [members[k] for k in sorted(members)]
-    return ClassReport(
-        n=n,
-        mode="structured",
-        members=ordered,
-        stats=stats,
-        wall_time=time.perf_counter() - started,
-    )
+        graphs.append(g)
+    return _class_report(n, "structured", started, graphs, stats)
 
 
 # --- rooted trees and unicyclic enumeration ---------------------------------
@@ -817,55 +820,37 @@ def _divisor_table(n: int, bits: int) -> dict[int, tuple[int, int]]:
     return table
 
 
-def _admit_components(n: int, table: Optional[dict[int, tuple[int, int]]],
-                      stats: dict[str, int], emit: NecklaceRuns) -> None:
-    """Hand emit the candidate connected components for members of the
-    class of C_n as the necklace walk finds them, in its runs.  With a
-    divisor table (`_divisor_table`), only components whose packed
-    polynomial is in it are admitted, and the others are counted in stats
-    by the filter that dropped them; without one, every component of up to
-    n vertices goes straight to emit."""
-    if table is None:
-        unicyclic_necklaces(dict.fromkeys(range(3, n + 1)), n + 1, emit)
-        return
+def _exhaustive_unicyclic(n: int, cache: PolyCache, prune: bool,
+                          stats: dict[str, int]) -> list[Graph]:
+    """Members among the unions of connected unicyclic graphs, from one
+    necklace walk serving every component size.  Pruned, each size's budget
+    is the largest branch weight the divisor table (`_divisor_table`) admits
+    on it, and only components whose packed polynomial is in the table are
+    admitted; the others are counted by the filter that dropped them.  A
+    packed match that `indpoly` contradicts raises AssertionError."""
+    target = cycle_poly(n)
+    goal = pack(target, n + 1)
+    table = _divisor_table(n, n + 1) if prune else {}
+    # classes[v]: the branch weights the table admits on v vertices
     classes: dict[int, set[int]] = {}
     for v, m in table.values():
         classes.setdefault(v, set()).add(m)
-    budgets = {v: max(ms) + 1 for v, ms in classes.items() if max(ms) >= -1}
-
-    def admit(v: int, c: int, head: tuple[RootedTree, ...], whole: int,
-              a: int, run: list[Entry]):
-        base = sum(t.attach_weight for t in head) - (1 if c == 3 else 0)
-        kept = []
-        for entry in run:
-            if whole * entry[2] + a * entry[3] in table:
-                kept.append(entry)
-            else:
-                stats["components_pruned_census"
-                      if base + entry[1] not in classes[v]
-                      else "components_pruned_divisor"] += 1
-        if kept:
-            emit(v, c, head, whole, a, kept)
-
-    unicyclic_necklaces(budgets, n + 1, admit)
-
-
-def _exhaustive_unicyclic(n: int, cache: PolyCache, prune: bool,
-                          stats: dict[str, int]) -> list[ClassMember]:
-    target = cycle_poly(n)
-    goal = pack(target, n + 1)
-    table = _divisor_table(n, n + 1) if prune else None
+    budgets = ({v: max(ms) + 1 for v, ms in classes.items() if max(ms) >= -1}
+               if prune else dict.fromkeys(range(3, n + 1)))
     stats.update(components_generated=0, components_pruned_census=0,
                  components_pruned_divisor=0, components_admitted=0,
                  multisets_tested=0)
-    members: dict[bytes, ClassMember] = {}
+    found: list[Graph] = []
 
     def accept(chosen: list[Necklace]):
         g = union(*(_necklace_graph(c, trees) for _, c, trees, _ in chosen))
         stats["polynomial_tests"] = stats.get("polynomial_tests", 0) + 1
-        if indpoly(g, cache) == target:
-            member = _make_member(g, n, target)
-            members.setdefault(member.key, member)
+        if indpoly(g, cache) != target:
+            raise AssertionError(
+                f"the packed product of {describe_graph(g)} equals "
+                f"I(C_{n}, x), but indpoly disagrees"
+            )
+        found.append(g)
 
     # A component on all n vertices is a one-part multiset, tested as it
     # arrives.  One on n - 1 or n - 2 vertices is in no multiset, since no
@@ -876,6 +861,17 @@ def _exhaustive_unicyclic(n: int, cache: PolyCache, prune: bool,
     def take(v: int, c: int, head: tuple[RootedTree, ...], whole: int,
              a: int, run: list[Entry]):
         nonlocal taken, single
+        if prune:
+            base = sum(t.attach_weight for t in head) - (1 if c == 3 else 0)
+            kept = []
+            for entry in run:
+                if whole * entry[2] + a * entry[3] in table:
+                    kept.append(entry)
+                else:
+                    stats["components_pruned_census"
+                          if base + entry[1] not in classes[v]
+                          else "components_pruned_divisor"] += 1
+            run = kept
         taken += len(run)
         if v == n:
             single += len(run)
@@ -886,7 +882,7 @@ def _exhaustive_unicyclic(n: int, cache: PolyCache, prune: bool,
             pool.extend((v, c, head + (t,), whole * w0 + a * w1)
                         for _, _, w0, w1, t in run)
 
-    _admit_components(n, table, stats, take)
+    unicyclic_necklaces(budgets, n + 1, take)
     stats["components_generated"] = (taken + stats["components_pruned_census"]
                                      + stats["components_pruned_divisor"])
     stats["components_admitted"] = taken
@@ -919,7 +915,7 @@ def _exhaustive_unicyclic(n: int, cache: PolyCache, prune: bool,
             chosen.pop()
 
     descend(0, n, 1, [])
-    return [members[k] for k in sorted(members)]
+    return found
 
 
 # --- exhaustive search: all graphs -------------------------------------------
@@ -1047,7 +1043,7 @@ def _graph_levels(
         level, parts = grown, grown_parts
 
 
-def _exhaustive_all_graphs(n: int, stats: dict[str, int]) -> list[ClassMember]:
+def _exhaustive_all_graphs(n: int, stats: dict[str, int]) -> list[Graph]:
     """Members among the n-vertex, n-edge graphs (the linear and quadratic
     coefficients force those counts), generated up to isomorphism under the
     S bound that the cubic coefficient sets, then filtered on the quartic
@@ -1060,9 +1056,8 @@ def _exhaustive_all_graphs(n: int, stats: dict[str, int]) -> list[ClassMember]:
     next(levels)  # level 0, the edgeless graph
     for level in levels:
         stats["classes_generated"] += len(level)
-    members = []
-    for key in sorted(level):
-        g, s = level[key]
+    found = []
+    for g, s in level.values():
         if s != s_target:
             continue
         stats["i3_leaves"] += 1
@@ -1070,9 +1065,9 @@ def _exhaustive_all_graphs(n: int, stats: dict[str, int]) -> list[ClassMember]:
             continue
         stats["i4_pass"] += 1
         if indpoly_bruteforce(g) == target:
-            members.append(_make_member(g, n, target))
+            found.append(g)
     stats["polynomials_computed"] = stats["i4_pass"]
-    return members
+    return found
 
 
 def exhaustive_class_search(n: int, mode: str = "unicyclic_multisets",
@@ -1088,7 +1083,7 @@ def exhaustive_class_search(n: int, mode: str = "unicyclic_multisets",
                 f"all-graphs scan supports 3 <= n <= {MAX_ALL_GRAPHS_N} "
                 f"(MAX_ALL_GRAPHS_N), got {n}"
             )
-        members = _exhaustive_all_graphs(n, stats)
+        graphs = _exhaustive_all_graphs(n, stats)
         mode_name = "exhaustive_all_graphs"
     elif mode == "unicyclic_multisets":
         if not (3 <= n <= MAX_UNICYCLIC_N and n % 2 == 1):
@@ -1101,14 +1096,8 @@ def exhaustive_class_search(n: int, mode: str = "unicyclic_multisets",
                 f"unpruned unicyclic-multiset scan supports n <= "
                 f"{MAX_UNPRUNED_UNICYCLIC_N} (MAX_UNPRUNED_UNICYCLIC_N), got {n}"
             )
-        members = _exhaustive_unicyclic(n, cache, prune, stats)
+        graphs = _exhaustive_unicyclic(n, cache, prune, stats)
         mode_name = "exhaustive_unicyclic_multisets"
     else:
         raise ValueError(f"unknown exhaustive mode {mode!r}")
-    return ClassReport(
-        n=n,
-        mode=mode_name,
-        members=members,
-        stats=stats,
-        wall_time=time.perf_counter() - started,
-    )
+    return _class_report(n, mode_name, started, graphs, stats)

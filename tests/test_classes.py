@@ -614,6 +614,17 @@ def test_indpoly_confirms_every_closed_form_hit(monkeypatch):
         structured_class_search(15)
 
 
+def test_indpoly_confirms_every_packed_match_of_the_unicyclic_oracle(monkeypatch):
+    # a packed product that matches I(C_n) while indpoly disagrees must
+    # raise, never drop the member silently
+    from indequiv import classes
+
+    monkeypatch.setattr(classes, "indpoly", lambda g, cache: cycle_poly(3))
+    with pytest.raises(AssertionError,
+                       match=r"packed product of \S+ equals I\(C_9, x\), but indpoly"):
+        exhaustive_class_search(9, "unicyclic_multisets")
+
+
 def test_every_candidate_is_size_checked(monkeypatch):
     from indequiv import classes
 
@@ -944,38 +955,37 @@ def test_independent_quad_counter(rng):
 
 
 @pytest.mark.parametrize("n", [9, pytest.param(15, marks=pytest.mark.slow)])
-def test_census_prefilter_admits_exactly_the_dividing_components(n):
+def test_census_prefilter_admits_exactly_the_dividing_components(n, monkeypatch):
     # the pruned pool must keep precisely the components whose polynomial
     # divides the target, compared against long division of the unfiltered
     # enumeration
-    from indequiv.classes import (
-        _admit_components,
-        _divisor_table,
-        _necklace_graph,
-    )
-    from indequiv.intpoly import cycle_poly
+    from indequiv import classes
+    from indequiv.classes import _divisor_table
 
+    budgets = []
+
+    def spy(walk_budgets, bits, emit):
+        budgets.append(walk_budgets)
+        unicyclic_necklaces(walk_budgets, bits, emit)
+
+    monkeypatch.setattr(classes, "unicyclic_necklaces", spy)
+    stats = exhaustive_class_search(n, "unicyclic_multisets").stats
+    (pruned,) = budgets
     target = cycle_poly(n)
     unfiltered = set()
     for necklaces in walk_necklaces(dict.fromkeys(range(3, n + 1)), n + 1).values():
         for c, trees, poly in necklaces:
             if divides(poly, target):
-                g = _necklace_graph(c, trees)
-                unfiltered.add(canonical_key(g))
-    stats = {
-        "components_generated": 0,
-        "components_admitted": 0,
-        "components_pruned_census": 0,
-        "components_pruned_divisor": 0,
-    }
-    pool = []
-
-    def keep(v, c, head, whole, a, run):
-        pool.extend((c, head + (t,)) for _, _, _, _, t in run)
-
-    _admit_components(n, _divisor_table(n, n + 1), stats, keep)
-    filtered = {canonical_key(_necklace_graph(c, trees)) for c, trees in pool}
-    assert filtered == unfiltered
+                unfiltered.add(canonical_key(_necklace_graph(c, trees)))
+    table = _divisor_table(n, n + 1)
+    filtered = [
+        canonical_key(_necklace_graph(c, trees))
+        for necklaces in walk_necklaces(pruned, n + 1).values()
+        for c, trees, poly in necklaces
+        if pack(poly, n + 1) in table
+    ]
+    assert set(filtered) == unfiltered
+    assert stats["components_admitted"] == len(filtered)
 
 
 @pytest.mark.parametrize("n", range(3, 46, 2))

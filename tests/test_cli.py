@@ -126,6 +126,8 @@ GOLDEN = Path(__file__).parent / "golden"
      "class_13_unicyclic_no_prune.json"),
     (("class", "15", "--mode", "unicyclic", "--no-prune"),
      "class_15_unicyclic_no_prune.json"),
+    (("class", "37", "--mode", "unicyclic"), "class_37_unicyclic.json"),
+    (("verify-paper", "--max-n", "45"), "verify_paper_45.json"),
 ])
 def test_json_output_matches_golden_bytes(capsys, argv, name):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
