@@ -6,11 +6,10 @@ from .canon import (
     canonical_form,
     canonical_key,
 )
-from .census import SubgraphCensus, subgraph_census
+from .census import subgraph_census
 from .classes import (
     ClassMember,
     ClassReport,
-    StructuralChecks,
     alpha_formula,
     component_count_bound,
     describe_graph,
@@ -55,6 +54,6 @@ from .intpoly import (
     poly_exact_div,
     primitive_part,
 )
-from .ledger import LedgerEntry, run_ledger
+from .ledger import run_ledger
 
 __version__ = "0.1.0"

@@ -8,25 +8,13 @@ oracle for closed-form tables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class SubgraphCensus:
-    e2: int          # 2P_2: matchings of size 2
-    p3_k1: int       # P_3 plus an untouched vertex
-    c3_k1: int       # C_3 plus an untouched vertex
-    p4: int          # paths on 4 vertices
-    k13: int         # claws
-    d4: int          # triangle with a pendant edge
-    c4: int          # 4-cycles
-    triangles: int   # C_3
-
-
-def subgraph_census(g: Graph) -> SubgraphCensus:
+def subgraph_census(g: Graph) -> dict[str, int]:
+    """The eight subgraph counts of g, by name."""
     n = g.n
     adj = g.adjacency_masks()
     edges = sorted(g.edges)
@@ -80,13 +68,13 @@ def subgraph_census(g: Graph) -> SubgraphCensus:
         c4 += k * (k - 1) // 2
     c4 //= 2
 
-    return SubgraphCensus(
-        e2=e2,
-        p3_k1=p3 * (n - 3),
-        c3_k1=triangles * (n - 3),
-        p4=p4,
-        k13=k13,
-        d4=d4,
-        c4=c4,
-        triangles=triangles,
-    )
+    return {
+        "e2": e2,                       # 2P_2: matchings of size 2
+        "p3_k1": p3 * (n - 3),          # P_3 plus an untouched vertex
+        "c3_k1": triangles * (n - 3),   # C_3 plus an untouched vertex
+        "p4": p4,                       # paths on 4 vertices
+        "k13": k13,                     # claws
+        "d4": d4,                       # triangle with a pendant edge
+        "c4": c4,                       # 4-cycles
+        "triangles": triangles,         # C_3
+    }

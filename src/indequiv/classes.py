@@ -50,8 +50,8 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 
 from .canon import (
     MAX_COMPONENT_VERTICES,
@@ -74,7 +74,7 @@ from .graphs import (
 )
 from .gspec import parse_spec
 from .indpoly import PolyCache, indpoly, indpoly_bruteforce
-from .intpoly import IntPoly, cycle_poly, pack
+from .intpoly import cycle_poly, pack
 
 # the all-graphs scan keeps every class under the cubic bound on each level:
 # n = 14 (16,886 classes) took 5.8 s and 40 MB peak RSS, and n = 15 (37,549
@@ -99,32 +99,16 @@ MAX_UNICYCLIC_LIST_V = 15
 # --- structural identities -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructuralChecks:
+def structural_checks(g: Graph, n: int) -> dict[str, bool | None]:
     """Per-member verdicts for the degree, triangle and 4-subset identities.
 
-    A clause is None where its identity does not apply (small n).  Any
+    A verdict is None where its identity does not apply (small n).  Any
     False on a polynomial-verified member falsifies a structural identity
     and deserves loud attention.
     """
-
-    vertex_count: bool            # sum g_i = n
-    degree_sum: bool              # sum i*g_i = 2n
-    triangle_sum: Optional[bool]  # sum C(i,2) g_i = n + triangles
-    no_isolated: bool             # g_0 = 0
-    max_degree_3: Optional[bool]  # max degree <= 3 and triangles = g_3
-    components_unicyclic: bool
-    matching_identity: Optional[bool]  # the size-4 coefficient identity
-
-    @property
-    def ok(self) -> bool:
-        return all(v for v in self.__dict__.values() if v is not None)
-
-
-def structural_checks(g: Graph, n: int) -> StructuralChecks:
     hist = degree_histogram(g)
     census = subgraph_census(g)
-    tri = census.triangles
+    tri = census["triangles"]
     sum_g = sum(hist.values())
     sum_ig = sum(i * c for i, c in hist.items())
     sum_choose = sum(math.comb(i, 2) * c for i, c in hist.items())
@@ -132,22 +116,28 @@ def structural_checks(g: Graph, n: int) -> StructuralChecks:
     if n >= 5:
         lhs = n * (3 * n - 11) // 2
         rhs = (
-            census.e2 + census.p3_k1 - census.c3_k1
-            - census.p4 - census.k13 + census.d4 + census.c4
+            census["e2"] + census["p3_k1"] - census["c3_k1"]
+            - census["p4"] - census["k13"] + census["d4"] + census["c4"]
         )
         matching = lhs == rhs
-    return StructuralChecks(
-        vertex_count=sum_g == n,
-        degree_sum=sum_ig == 2 * n,
-        triangle_sum=(sum_choose == n + tri) if n >= 4 else None,
-        no_isolated=hist.get(0, 0) == 0,
-        max_degree_3=(max_degree(g) <= 3 and tri == hist.get(3, 0))
+    return {
+        # sum g_i = n
+        "vertex_count": sum_g == n,
+        # sum i*g_i = 2n
+        "degree_sum": sum_ig == 2 * n,
+        # sum C(i,2) g_i = n + triangles
+        "triangle_sum": (sum_choose == n + tri) if n >= 4 else None,
+        # g_0 = 0
+        "no_isolated": hist.get(0, 0) == 0,
+        # max degree <= 3 and triangles = g_3
+        "max_degree_3": (max_degree(g) <= 3 and tri == hist.get(3, 0))
         if n >= 4 else None,
-        components_unicyclic=all(
+        "components_unicyclic": all(
             is_unicyclic(g.subgraph(vs)) for vs in component_vertex_sets(g)
         ),
-        matching_identity=matching,
-    )
+        # the size-4 coefficient identity
+        "matching_identity": matching,
+    }
 
 
 def alpha_formula(kind: str, params: tuple[int, ...]) -> int:
@@ -193,22 +183,12 @@ def component_count_bound(n: int, kind: str, params: tuple[int, ...]) -> tuple[i
 # --- class reports ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassMember:
-    key: bytes
-    description: str
-    graph6: str
-    poly: IntPoly
-    checks: StructuralChecks
+# checks: the verdicts of `structural_checks`
+ClassMember = namedtuple("ClassMember", "key description graph6 poly checks")
 
 
-@dataclass
-class ClassReport:
-    n: int
-    mode: str
-    members: list[ClassMember]
-    stats: dict[str, int]
-    wall_time: float
+class ClassReport(namedtuple("ClassReport", "n mode members stats wall_time")):
+    __slots__ = ()
 
     def member_keys(self) -> set[bytes]:
         return {m.key for m in self.members}
@@ -409,7 +389,7 @@ def _structured_candidates(n: int) -> list[Candidate]:
 
 
 def structured_class_search(n: int,
-                            cache: Optional[PolyCache] = None) -> ClassReport:
+                            cache: PolyCache | None = None) -> ClassReport:
     """The class of C_n via the structural narrowing.
 
     Every candidate is tested exactly against I(C_n, x) by its closed-form
@@ -479,8 +459,8 @@ class RootedTree:
     __slots__ = ("base", "last", "shape", "inner_weight", "attach_weight",
                  "w0", "w1")
 
-    def __init__(self, base: Optional["RootedTree"],
-                 last: Optional["RootedTree"], bits: int):
+    def __init__(self, base: RootedTree | None,
+                 last: RootedTree | None, bits: int):
         self.base = base
         self.last = last
         if base is None:
@@ -565,7 +545,7 @@ NecklaceRuns = Callable[
     [int, int, tuple[RootedTree, ...], int, int, list[Entry]], None]
 
 
-def unicyclic_necklaces(budgets: dict[int, Optional[int]], bits: int,
+def unicyclic_necklaces(budgets: dict[int, int | None], bits: int,
                         emit: NecklaceRuns) -> None:
     """Hand emit the connected unicyclic graphs, one per isomorphism class,
     on each vertex count v in budgets whose total attach weight is at most
@@ -678,7 +658,7 @@ def unicyclic_necklaces(budgets: dict[int, Optional[int]], bits: int,
 
     for c in range(3, top + 1):
         seq = [""] * c
-        trees: list[Optional[RootedTree]] = [None] * c
+        trees: list[RootedTree | None] = [None] * c
 
         def walk(pos: int, used: int, weight: int, p: int, need: str,
                  a: int, b: int, a2: int, b2: int):
@@ -839,12 +819,12 @@ def _exhaustive_unicyclic(n: int, cache: PolyCache, prune: bool,
                if prune else dict.fromkeys(range(3, n + 1)))
     stats.update(components_generated=0, components_pruned_census=0,
                  components_pruned_divisor=0, components_admitted=0,
-                 multisets_tested=0)
+                 multisets_tested=0, polynomial_tests=0)
     found: list[Graph] = []
 
     def accept(chosen: list[Necklace]):
         g = union(*(_necklace_graph(c, trees) for _, c, trees, _ in chosen))
-        stats["polynomial_tests"] = stats.get("polynomial_tests", 0) + 1
+        stats["polynomial_tests"] += 1
         if indpoly(g, cache) != target:
             raise AssertionError(
                 f"the packed product of {describe_graph(g)} equals "
@@ -1071,7 +1051,7 @@ def _exhaustive_all_graphs(n: int, stats: dict[str, int]) -> list[Graph]:
 
 
 def exhaustive_class_search(n: int, mode: str = "unicyclic_multisets",
-                            cache: Optional[PolyCache] = None,
+                            cache: PolyCache | None = None,
                             prune: bool = True) -> ClassReport:
     """The class of C_n by exhaustive search, independent of the structural
     narrowing that drives the structured search."""

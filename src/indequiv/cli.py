@@ -119,7 +119,7 @@ def _report_payload(report: ClassReport) -> dict:
                 "graph6": m.graph6,
                 "description": m.description,
                 "coeffs": _poly_json(m.poly),
-                "checks_ok": m.checks.ok,
+                "checks_ok": False not in m.checks.values(),
             }
             for m in report.members
         ],
@@ -217,31 +217,22 @@ def _cmd_unicyclic(args, cache: PolyCache) -> int:
 
 def _cmd_verify(args, cache: PolyCache) -> int:
     entries = run_ledger(max_n=args.max_n, cache=cache)
-    failed = [e for e in entries if not e.passed]
+    failed = [e for e in entries if e["status"] != "pass"]
     if args.format == "json":
         _emit(
             {
-                "entries": [
-                    {
-                        "id": e.claim_id,
-                        "claim": e.claim,
-                        "expected": e.expected,
-                        "computed": e.computed,
-                        "status": e.status,
-                    }
-                    for e in entries
-                ],
+                "entries": entries,
                 "failed": len(failed),
                 "passed": len(entries) - len(failed),
             }
         )
     else:
         for e in entries:
-            mark = "PASS" if e.passed else "FAIL"
-            print(f"[{mark}] {e.claim_id}: {e.claim}")
-            if not e.passed:
-                print(f"       expected {e.expected}")
-                print(f"       computed {e.computed}")
+            passed = e["status"] == "pass"
+            print(f"[{'PASS' if passed else 'FAIL'}] {e['id']}: {e['claim']}")
+            if not passed:
+                print(f"       expected {e['expected']}")
+                print(f"       computed {e['computed']}")
         print(f"{len(entries) - len(failed)}/{len(entries)} claims verified")
     return 3 if failed else 0
 

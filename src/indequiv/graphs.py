@@ -4,7 +4,7 @@ triangle D_n, and the A/B/E one-cycle families).
 """
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 
 class GraphSpecError(ValueError):

@@ -28,8 +28,6 @@ are not used, so they stay an independent check of this module.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 from .graphs import Graph, component_masks
 from .intpoly import IntPoly, unpack
 
@@ -79,7 +77,7 @@ class PolyCache:
         return {"hits": self.hits, "misses": self.misses}
 
 
-def indpoly(g: Graph, cache: Optional[PolyCache] = None) -> IntPoly:
+def indpoly(g: Graph, cache: PolyCache | None = None) -> IntPoly:
     """Exact I(G, x) via component splitting and memoized deletion recursion."""
     bits = g.n + 1
     k1 = 1 << bits | 1  # I(K_1, x), packed

@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 
 class ExactDivisionError(ArithmeticError):

@@ -10,9 +10,6 @@ exit code.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .canon import MAX_COMPONENT_VERTICES, canonical_key
 from .classes import exhaustive_class_search, structured_class_search
 from .factors import f_poly_by_division, f_poly_by_transform
@@ -22,28 +19,15 @@ from .indpoly import PolyCache, indpoly
 from .intpoly import cycle_poly
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
-    claim_id: str
-    claim: str
-    expected: str
-    computed: str
-    status: str  # "pass" | "fail"
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-
-def _entry(claim_id: str, claim: str, expected, computed) -> LedgerEntry:
+def _entry(claim_id: str, claim: str, expected, computed) -> dict[str, str]:
     exp, got = str(expected), str(computed)
-    return LedgerEntry(
-        claim_id=claim_id,
-        claim=claim,
-        expected=exp,
-        computed=got,
-        status="pass" if exp == got else "fail",
-    )
+    return {
+        "id": claim_id,
+        "claim": claim,
+        "expected": exp,
+        "computed": got,
+        "status": "pass" if exp == got else "fail",
+    }
 
 
 _COEFF_CLAIMS = (
@@ -77,8 +61,11 @@ _CLASS_SIZES = {3: 1, 9: 6, 15: 8}
 
 
 def run_ledger(max_n: int = 45,
-               cache: Optional[PolyCache] = None) -> list[LedgerEntry]:
-    """Recompute the pinned values; max_n bounds the class-list sweep."""
+               cache: PolyCache | None = None) -> list[dict[str, str]]:
+    """Recompute the pinned values; max_n bounds the class-list sweep.
+
+    Each entry is the record `verify-paper --format json` prints: id,
+    claim, expected, computed and status ("pass" or "fail")."""
     if max_n < 15:
         raise ValueError(
             "max_n must be at least 15 to cover the known classes, "
@@ -90,7 +77,7 @@ def run_ledger(max_n: int = 45,
             f"max_n must be at most {MAX_COMPONENT_VERTICES} "
             f"(MAX_COMPONENT_VERTICES, the canonical-key limit), got {max_n}"
         )
-    entries: list[LedgerEntry] = []
+    entries: list[dict[str, str]] = []
 
     for claim_id, claim, m, coeffs in _COEFF_CLAIMS:
         entries.append(

@@ -270,7 +270,7 @@ def test_criterion_6_identity_suites(structured_reports, shared_cache, rng):
 
     for n, report in structured_reports.items():
         for member in report.members:
-            assert member.checks.ok, (n, member.description)
+            assert False not in member.checks.values(), (n, member.description)
 
     for n in range(3, 17):
         assert [cycle_coeff(n, k) for k in range(n // 2 + 1)] == (

@@ -8,24 +8,24 @@ from conftest import naive_census, random_graph
 
 def test_census_c9():
     c = subgraph_census(cycle(9))
-    assert (c.e2, c.p3_k1, c.p4, c.triangles) == (27, 54, 9, 0)
-    assert (c.c3_k1, c.k13, c.d4, c.c4) == (0, 0, 0, 0)
+    assert (c["e2"], c["p3_k1"], c["p4"], c["triangles"]) == (27, 54, 9, 0)
+    assert (c["c3_k1"], c["k13"], c["d4"], c["c4"]) == (0, 0, 0, 0)
 
 
 def test_census_c3_union_a21():
     c = subgraph_census(union(cycle(3), a_graph(2, 1)))
-    assert c.e2 == 25
-    assert c.p3_k1 == 66
-    assert c.c3_k1 == 12
-    assert c.p4 == 7
-    assert c.k13 == 2
-    assert c.d4 == 2
-    assert c.c4 == 0
-    assert c.triangles == 2
+    assert c["e2"] == 25
+    assert c["p3_k1"] == 66
+    assert c["c3_k1"] == 12
+    assert c["p4"] == 7
+    assert c["k13"] == 2
+    assert c["d4"] == 2
+    assert c["c4"] == 0
+    assert c["triangles"] == 2
 
 
 def test_census_k4_minus_e():
-    assert subgraph_census(k4_minus_e()).triangles == 2
+    assert subgraph_census(k4_minus_e())["triangles"] == 2
 
 
 @pytest.mark.parametrize(
@@ -45,7 +45,7 @@ def test_census_against_naive_enumeration(g):
     got = subgraph_census(g)
     want = naive_census(g)
     for field, value in want.items():
-        assert getattr(got, field) == value, field
+        assert got[field] == value, field
 
 
 def test_census_random_graphs_against_naive(rng):
@@ -54,4 +54,4 @@ def test_census_random_graphs_against_naive(rng):
         got = subgraph_census(g)
         want = naive_census(g)
         for field, value in want.items():
-            assert getattr(got, field) == value, field
+            assert got[field] == value, field

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -128,9 +131,11 @@ GOLDEN = Path(__file__).parent / "golden"
      "class_15_unicyclic_no_prune.json"),
     (("class", "37", "--mode", "unicyclic"), "class_37_unicyclic.json"),
     (("verify-paper", "--max-n", "45"), "verify_paper_45.json"),
+    (("verify-paper", "--max-n", "45"), "verify_paper_45.txt"),
 ])
 def test_json_output_matches_golden_bytes(capsys, argv, name):
-    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    fmt = "json" if name.endswith(".json") else "text"
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
     assert code == 0
     assert out == (GOLDEN / name).read_text()
 
@@ -266,17 +271,25 @@ def test_verify_paper_below_the_known_classes_is_refused(capsys):
 
 def test_verify_paper_failure_exit_code(capsys, monkeypatch):
     from indequiv import cli as cli_module
-    from indequiv.ledger import LedgerEntry
+
+    entry = {"id": "x", "claim": "fake claim", "expected": "1",
+             "computed": "2", "status": "fail"}
 
     def fake_ledger(max_n=45, cache=None):
-        return [
-            LedgerEntry("x", "fake claim", "1", "2", "fail"),
-        ]
+        return [dict(entry)]
 
     monkeypatch.setattr(cli_module, "run_ledger", fake_ledger)
     code, out, _ = run_cli(capsys, "verify-paper")
     assert code == 3
-    assert "FAIL" in out
+    assert out == (
+        "[FAIL] x: fake claim\n"
+        "       expected 1\n"
+        "       computed 2\n"
+        "0/1 claims verified\n"
+    )
+    code, out, _ = run_cli(capsys, "verify-paper", "--format", "json")
+    assert code == 3
+    assert json.loads(out) == {"entries": [entry], "failed": 1, "passed": 0}
 
 
 @pytest.mark.parametrize("argv", [
@@ -324,8 +337,25 @@ def test_threads_and_seed_only_where_they_act(capsys, argv):
 
 def test_ledger_entries_pass_quickly():
     entries = run_ledger(max_n=15)
-    assert all(e.passed for e in entries)
-    ids = [e.claim_id for e in entries]
+    assert all(e["status"] == "pass" for e in entries)
+    ids = [e["id"] for e in entries]
     assert "f9-coeffs" in ids and "class-9-count" in ids
     assert "class-6-members" in ids
     assert len(ids) == len(set(ids))
+
+
+def test_cli_import_loads_no_dataclasses_or_typing():
+    # start-up is a large share of a short command's time; the stdlib
+    # modules the CLI needs load first, so only what the package adds counts
+    code = (
+        "import sys, argparse, json, re\n"
+        "before = set(sys.modules)\n"
+        "import indequiv.cli\n"
+        "added = set(sys.modules) - before\n"
+        "print(sorted(added & {'dataclasses', 'typing', 'inspect'}))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
