@@ -48,7 +48,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 import time
 from collections import namedtuple
 from collections.abc import Callable, Iterator
@@ -438,37 +437,27 @@ def structured_class_search(n: int,
 
 
 class RootedTree:
-    """A rooted tree up to isomorphism: `last`, a child of largest shape,
+    """A rooted tree up to isomorphism: `last`, a child of largest rank,
     and `base`, the tree with the root's other children (both None for a
-    single vertex), and `shape`, its canonical key.
-
-    The key is the AHU encoding (Aho, Hopcroft and Ullman, 1974) as a
-    balanced string: "b", the keys of the root's children in ascending
-    order, then "a", so a single vertex is "ba".  A key returns to depth
-    zero only at its end, so no key is a proper prefix of another, and
-    string order is the order of the nested tuples of sorted child
-    encodings: where two child lists first differ, the keys differ inside
-    that child, and where one list is a proper prefix of the other, the
-    shorter key meets its closing "a" where the longer has its next "b".
+    single vertex), and `rank`, its place in the order its table made it.
 
     Carries the branch-vertex weights that the degree-census prefilter uses
     and (w0, w1), the independence polynomials of the tree with its root
     excluded and included, packed in `bits`-wide slots as by `intpoly.pack`.
     """
 
-    __slots__ = ("base", "last", "shape", "inner_weight", "attach_weight",
+    __slots__ = ("base", "last", "rank", "inner_weight", "attach_weight",
                  "w0", "w1")
 
     def __init__(self, base: RootedTree | None,
-                 last: RootedTree | None, bits: int):
+                 last: RootedTree | None, rank: int, bits: int):
         self.base = base
         self.last = last
+        self.rank = rank
         if base is None:
-            self.shape = "ba"
             self.inner_weight = self.attach_weight = 0
             self.w0, self.w1 = 1, 1 << bits
             return
-        self.shape = base.shape[:-1] + last.shape + "a"
         # the root's C(degree, 2) grows by the base's degree
         self.inner_weight = base.attach_weight + last.inner_weight
         # on a cycle vertex the root's C(degree, 2) becomes C(degree + 1, 2):
@@ -491,31 +480,35 @@ class RootedTree:
 
 def _rooted_trees(caps: list, bits: int) -> list[list[RootedTree]]:
     """trees[s], for 1 <= s < len(caps): the rooted trees on s vertices up
-    to isomorphism whose inner weight is at most caps[s], in shape order,
-    packed in `bits`-wide slots.  caps must not rise with s.
+    to isomorphism whose inner weight is at most caps[s], packed in
+    `bits`-wide slots.  caps must not rise with s.
 
-    Each tree is made once, from its base and its last child.  Weight never
-    falls as a child is added, so every base and child of a kept tree is
-    kept too.
+    Each tree is made once, from its base and its last child, a child of
+    rank at least the base's last.  Ranks run 0, 1, ... in the order the
+    trees are made, so by size first, and each trees[s] is in rank order.
+    Weight never falls as a child is added, so every base and child of a
+    kept tree is kept too, and a capped table's order is the uncapped
+    table's filtered.
 
     A caller that wants the trees whose attach weight is at most A[s] may
     pass caps[s] = A[s] - 1 for s >= 2, and the -1 is exact: a tree on two
     or more vertices attaches with its inner weight plus its root's child
     count, at least 1, so it drops no such tree, and a tree whose root has
     one child attaches with exactly its cap plus 1."""
-    trees = [[], [RootedTree(None, None, bits)]]
+    trees = [[], [RootedTree(None, None, 0, bits)]]
+    rank = 1
     for s in range(2, len(caps)):
         made = []
         for j in range(1, s):
             for base in trees[s - j]:
                 room = caps[s] - base.attach_weight
-                floor = "" if base.last is None else base.last.shape
+                floor = -1 if base.last is None else base.last.rank
                 for child in reversed(trees[j]):
-                    if child.shape < floor:
+                    if child.rank < floor:
                         break
                     if child.inner_weight <= room:
-                        made.append(RootedTree(base, child, bits))
-        made.sort(key=operator.attrgetter("shape"))
+                        made.append(RootedTree(base, child, rank, bits))
+                        rank += 1
         trees.append(made)
     return trees
 
@@ -553,14 +546,16 @@ def unicyclic_necklaces(budgets: dict[int, int | None], bits: int,
     They are handed over as the walk finds them, one run of last positions
     per prefix and size (`NecklaceRuns`); none is kept.
 
-    Each class appears once, as the dihedral-minimal sequence of tree shapes
-    around its unique cycle.  One walk per cycle length c fills the
-    positions in order and serves every v at once.  Only prefixes of
-    necklaces are extended (the prenecklace rule of Fredricksen, Kessler
-    and Maiorana; Ruskey, Savage and Wang, J. Algorithms 13, 1992): with p
-    the length of the prefix's longest Lyndon prefix, position pos takes
-    only shapes >= seq[pos - p], and p stays on equality and becomes pos + 1
-    otherwise.  A full sequence is a necklace iff c % p == 0, and is kept
+    The pooled trees get one-character codes, by size and then by rank, and
+    each class appears once, as the dihedral-minimal sequence of codes
+    around its unique cycle; any total order of the trees would do, and
+    this one gives each size one slice of codes.  One walk per cycle length
+    c fills the positions in order and serves every v at once.  Only
+    prefixes of necklaces are extended (the prenecklace rule of
+    Fredricksen, Kessler and Maiorana; Ruskey, Savage and Wang,
+    J. Algorithms 13, 1992): with p the length of the prefix's longest
+    Lyndon prefix, position pos takes only codes >= seq[pos - p], and p
+    stays on equality and becomes pos + 1 otherwise.  A full sequence is a necklace iff c % p == 0, and is kept
     iff no rotation of its reversal is smaller.  A prefix is cut once its
     weight exceeds every budget it can still reach, and a position stops
     scanning a size's trees once none left fits.
@@ -606,7 +601,7 @@ def unicyclic_necklaces(budgets: dict[int, int | None], bits: int,
     root out or in, current root out or in), so the consumer gets each
     graph's polynomial as one combine, whole*w0 + a*w1.  Graphs come out by
     c, and within c in the walk's order, which puts each v's in nested
-    order: per position, tree sizes ascending, then shapes.
+    order: per position, codes ascending.
     """
     served = sorted(budgets)
     top = served[-1]
@@ -624,37 +619,31 @@ def unicyclic_necklaces(budgets: dict[int, int | None], bits: int,
     # The table is the call's own, dropped once the pools are drawn from it
     by_size = _rooted_trees(
         reach[2:4] + [cap - 1 for cap in reach[4:top + 1]], bits)
-    pools = {s: [t for t in by_size[s] if t.attach_weight <= reach[s + 2]]
-             for s in range(1, top - 1)}
-    del by_size
-    # shapes compare as one-character codes, given in shape order by one
-    # sort of the pooled trees; spare[r]: the fewest vertices beyond its
-    # root of a pooled tree with code >= r, and top past the last code
-    tables = {s: ([], []) for s in pools}
+    # the pooled trees compare as one-character codes, given by size, then
+    # rank; spare[r]: the vertices beyond its root of the tree with code r,
+    # and top past the last code.  Codes follow size, so spare never falls
+    # as the code rises, and spare[r] is also the fewest vertices beyond its
+    # root of a pooled tree with code >= r, as the reservation bounds need.
+    # Per size, sufmin[i]: the least weight in entries[i:], for the exact
+    # early exit; heaviest: the most any entry weighs
+    tables = {}
     spare = []
-    for t in sorted(itertools.chain.from_iterable(pools.values()),
-                    key=operator.attrgetter("shape")):
-        s = len(t.shape) // 2  # a shape spends two characters per vertex
-        r = chr(len(spare))
-        spare.append(s - 1)
-        codes, entries = tables[s]
-        codes.append(r)
-        entries.append((r, t.attach_weight, t.w0, t.w1, t))
-    del pools
-    past = chr(len(spare))  # above every code
-    spare.append(top)
-    for r in range(len(spare) - 2, -1, -1):
-        spare[r] = min(spare[r], spare[r + 1])
-    # cut[k]: the least code whose spare exceeds k
-    cut = [chr(bisect.bisect_right(spare, k)) for k in range(top + 1)]
-    for s, (codes, entries) in tables.items():
-        # sufmin[i]: the least weight in entries[i:], for the exact early
-        # exit; heaviest: the most any entry weighs
-        sufmin = [aw for _, aw, _, _, _ in entries]
+    for s in range(1, top - 1):
+        pool = [t for t in by_size[s] if t.attach_weight <= reach[s + 2]]
+        codes = [chr(len(spare) + i) for i in range(len(pool))]
+        spare += [s - 1] * len(pool)
+        entries = [(r, t.attach_weight, t.w0, t.w1, t)
+                   for r, t in zip(codes, pool)]
+        sufmin = [t.attach_weight for t in pool]
         heaviest = max(sufmin, default=0)
         for i in range(len(sufmin) - 2, -1, -1):
             sufmin[i] = min(sufmin[i], sufmin[i + 1])
         tables[s] = (codes, sufmin, entries, heaviest)
+    del by_size
+    past = chr(len(spare))  # above every code
+    spare.append(top)
+    # cut[k]: the least code whose spare exceeds k
+    cut = [chr(bisect.bisect_right(spare, k)) for k in range(top + 1)]
 
     for c in range(3, top + 1):
         seq = [""] * c

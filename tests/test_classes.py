@@ -239,15 +239,24 @@ def _dihedral_minimal(seq: tuple) -> bool:
     return True
 
 
+def tree_shape(t):
+    """The AHU encoding of a table's tree, from its edges."""
+    edges = []
+    t.edges(0, 1, edges)
+    return ahu_shape(edges, 0)
+
+
 def shapes(trees):
-    return tuple(t.shape for t in trees)
+    return tuple(map(tree_shape, trees))
 
 
 def filtered_necklaces(v, budget):
     """Every sequence of rooted trees with v vertices in all, on every cycle
     length, in nested order (position 0 first; per position, sizes
-    ascending, then shapes), kept iff its shapes are dihedral-minimal and
-    its branch weight is within budget; each as (c, its shapes)."""
+    ascending, then ranks), kept iff its ranks in an uncapped table are
+    dihedral-minimal and its branch weight is within budget; each as (c,
+    its trees' AHU encodings).  A capped table's order is the uncapped
+    order filtered, so the walk's codes order its trees as these ranks."""
     cap = math.inf if budget is None else budget
     trees = _rooted_trees([math.inf] * (v - 1), v + 1)
     pools = {s: [t for t in trees[s] if t.attach_weight <= cap]
@@ -266,7 +275,7 @@ def filtered_necklaces(v, budget):
     for c in range(3, v + 1):
         for trees in sequences(0, c, v - c, ()):
             if (sum(t.attach_weight for t in trees) <= cap
-                    and _dihedral_minimal(shapes(trees))):
+                    and _dihedral_minimal(tuple(t.rank for t in trees))):
                 out.append((c, shapes(trees)))
     return out
 
@@ -366,25 +375,19 @@ def ahu_shape(edges, root):
     return encode(root, None)
 
 
-def ahu_key(shape):
-    """The balanced-string key of a nested-tuple AHU encoding: "b", the
-    children's keys in order, then "a"."""
-    return "b" + "".join(map(ahu_key, shape)) + "a"
-
-
 def test_rooted_tree_table_against_independent_oracles():
     bits = 11
     trees = _rooted_trees([math.inf] * 15, bits)
     assert [len(trees[s]) for s in range(1, 15)] == list(A000081)
-    encoded = {}  # every key, on every size, to its nested tuple
+    # ranks run 0, 1, ... by size, in list order
+    ranks = [t.rank for s in range(1, 15) for t in trees[s]]
+    assert ranks == list(range(sum(A000081)))
     for s in range(1, 15):
-        made = [t.shape for t in trees[s]]
-        assert made == sorted(set(made))  # distinct, in shape order
+        encoded = set()  # distinct trees per size
         for t in trees[s]:
             edges = []
             assert t.edges(0, 1, edges) == s
-            encoded[t.shape] = ahu_shape(edges, 0)
-            assert ahu_key(encoded[t.shape]) == t.shape
+            encoded.add(ahu_shape(edges, 0))
             # edges run parent to child: inner weight sums C(children, 2)
             children = [0] * s
             for u, _ in edges:
@@ -396,13 +399,7 @@ def test_rooted_tree_table_against_independent_oracles():
                 assert t.w0 == pack(indpoly(delete_vertex(g, 0)), bits)
                 assert t.w1 == pack(
                     X * indpoly(delete_closed_neighborhood(g, 0)), bits)
-    # the string keys of all sizes together sort as the nested tuples, and
-    # none is a proper prefix of another (in sorted order a key's
-    # extensions would follow it directly)
-    keys = sorted(encoded)
-    assert len(keys) == sum(A000081)
-    assert keys == sorted(encoded, key=encoded.__getitem__)
-    assert not any(b.startswith(a) for a, b in zip(keys, keys[1:]))
+        assert len(encoded) == len(trees[s])
 
 
 @pytest.mark.parametrize("caps", [
@@ -413,8 +410,8 @@ def test_capped_rooted_trees_are_the_uncapped_filtered_by_weight(caps):
     full = _rooted_trees([math.inf] * len(caps), 13)
     capped = _rooted_trees(caps, 13)
     for s in range(1, len(caps)):
-        assert [t.shape for t in capped[s]] == [
-            t.shape for t in full[s] if t.inner_weight <= caps[s]]
+        assert shapes(capped[s]) == shapes(
+            t for t in full[s] if t.inner_weight <= caps[s])
 
 
 def _walk_budgets(n, prune):
@@ -431,7 +428,7 @@ def _walk_budgets(n, prune):
 
 
 def _pooled(trees, s, cap):
-    return [(t.shape, t.inner_weight, t.attach_weight, t.w0, t.w1)
+    return [(tree_shape(t), t.inner_weight, t.attach_weight, t.w0, t.w1)
             for t in trees[s] if t.attach_weight <= cap]
 
 
@@ -836,6 +833,24 @@ def test_describe_graph_names_only_true_family_members():
             else:
                 assert canonical_key(parse_spec(name)) == canonical_key(g), name
     assert count == 1040
+
+
+def test_names_and_checks_ignore_labels(rng):
+    # a report names and checks the first graph it meets per canonical key,
+    # and which labelled copy comes first depends on the walk's order, so
+    # both must be invariant under relabelling
+    graphs = [(g, g.n) for v in range(3, 11) for g in unicyclic_graphs(v)]
+    for n in (9, 15):
+        graphs += [(parse_graph6(m.graph6), n)
+                   for m in structured_class_search(n).members]
+    for g, n in graphs:
+        want = (describe_graph(g), structural_checks(g, n))
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            copy = g.relabel(perm)
+            assert (describe_graph(copy), structural_checks(copy, n)) == want
+    assert len(graphs) == 1040 + 6 + 8
 
 
 def test_describe_graph_degree_four_is_not_a_family():

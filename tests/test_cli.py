@@ -132,6 +132,7 @@ GOLDEN = Path(__file__).parent / "golden"
     (("class", "37", "--mode", "unicyclic"), "class_37_unicyclic.json"),
     (("verify-paper", "--max-n", "45"), "verify_paper_45.json"),
     (("verify-paper", "--max-n", "45"), "verify_paper_45.txt"),
+    (("unicyclic", "9"), "unicyclic_9.json"),
 ])
 def test_json_output_matches_golden_bytes(capsys, argv, name):
     fmt = "json" if name.endswith(".json") else "text"
