@@ -81,14 +81,16 @@ from .intpoly import cycle_poly, pack
 # in process.  Each step of n multiplies the classes by about 2.2
 MAX_ALL_GRAPHS_N = 15
 # the pruned unicyclic scan confirms {C_n, D_n} at every odd 23 <= n <= 37 in
-# about 1.0-1.4 s in all on a 2-core x86-64 machine (n = 27: 0.2-0.3 s,
-# n = 33: 0.6-1.1 s, every other n under 0.1 s); n = 39 took 2.2-3.2 s and
-# 17 MB, and n = 45 about 10 s and 19 MB, in process
+# 0.7-1.3 s in all (n = 27: 0.13-0.24 s, n = 33: 0.46-0.85 s, every other n
+# under 0.06 s); n = 39 took 1.4-1.7 s and 17 MB peak RSS, and n = 45
+# 6.0-7.4 s and 20 MB.  Three runs each, in process, on a 2-core x86-64 Xeon
+# under Python 3.11
 MAX_UNICYCLIC_N = 37
 # the unpruned unicyclic scan generates every component of up to n vertices
-# and pools those of up to n - 3: n = 17 (1,363,817 components) took 2.2-3.4 s
-# and 91 MB peak RSS on a 2-core x86-64 machine, in process.  The cap is one
-# of time: n = 19 holds about 7.9x more components, some 20-30 s' work
+# and pools those of up to n - 3: n = 17 (1,363,817 components) took 1.5-1.7 s
+# and 87 MB peak RSS, three runs in process on the same machine.  The cap is
+# one of time: n = 19 holds about 7.9x more components, some 12-13 s' work at
+# that rate
 MAX_UNPRUNED_UNICYCLIC_N = 17
 # `unicyclic <v>` labels every graph and keeps one row per graph: v = 15
 # (110,381 graphs) took 55 s and 144 MB on a 2-core x86-64 machine, and each
@@ -439,7 +441,7 @@ def structured_class_search(n: int,
 class RootedTree:
     """A rooted tree up to isomorphism: `last`, a child of largest rank,
     and `base`, the tree with the root's other children (both None for a
-    single vertex), and `rank`, its place in the order its table made it.
+    single vertex), and `rank`, its place in its table, set by the table.
 
     Carries the branch-vertex weights that the degree-census prefilter uses
     and (w0, w1), the independence polynomials of the tree with its root
@@ -450,10 +452,9 @@ class RootedTree:
                  "w0", "w1")
 
     def __init__(self, base: RootedTree | None,
-                 last: RootedTree | None, rank: int, bits: int):
+                 last: RootedTree | None, bits: int):
         self.base = base
         self.last = last
-        self.rank = rank
         if base is None:
             self.inner_weight = self.attach_weight = 0
             self.w0, self.w1 = 1, 1 << bits
@@ -484,18 +485,21 @@ def _rooted_trees(caps: list, bits: int) -> list[list[RootedTree]]:
     `bits`-wide slots.  caps must not rise with s.
 
     Each tree is made once, from its base and its last child, a child of
-    rank at least the base's last.  Ranks run 0, 1, ... in the order the
-    trees are made, so by size first, and each trees[s] is in rank order.
+    rank at least the base's last.  Each trees[s] is then sorted by attach
+    weight, stably, and ranks run 0, 1, ... through the sorted lists, so
+    they order the trees by size, then attach weight, then making order.
     Weight never falls as a child is added, so every base and child of a
-    kept tree is kept too, and a capped table's order is the uncapped
-    table's filtered.
+    kept tree is kept too; filtering commutes with a stable sort, so a
+    capped table's order is the uncapped table's filtered.
 
     A caller that wants the trees whose attach weight is at most A[s] may
     pass caps[s] = A[s] - 1 for s >= 2, and the -1 is exact: a tree on two
     or more vertices attaches with its inner weight plus its root's child
     count, at least 1, so it drops no such tree, and a tree whose root has
     one child attaches with exactly its cap plus 1."""
-    trees = [[], [RootedTree(None, None, 0, bits)]]
+    leaf = RootedTree(None, None, bits)
+    leaf.rank = 0
+    trees = [[], [leaf]]
     rank = 1
     for s in range(2, len(caps)):
         made = []
@@ -507,8 +511,11 @@ def _rooted_trees(caps: list, bits: int) -> list[list[RootedTree]]:
                     if child.rank < floor:
                         break
                     if child.inner_weight <= room:
-                        made.append(RootedTree(base, child, rank, bits))
-                        rank += 1
+                        made.append(RootedTree(base, child, bits))
+        made.sort(key=lambda t: t.attach_weight)
+        for t in made:
+            t.rank = rank
+            rank += 1
         trees.append(made)
     return trees
 
@@ -549,16 +556,18 @@ def unicyclic_necklaces(budgets: dict[int, int | None], bits: int,
     The pooled trees get one-character codes, by size and then by rank, and
     each class appears once, as the dihedral-minimal sequence of codes
     around its unique cycle; any total order of the trees would do, and
-    this one gives each size one slice of codes.  One walk per cycle length
-    c fills the positions in order and serves every v at once.  Only
-    prefixes of necklaces are extended (the prenecklace rule of
-    Fredricksen, Kessler and Maiorana; Ruskey, Savage and Wang,
+    this one gives each size one slice of codes, ordered by attach weight,
+    so the trees of a size that fit a room are a prefix of its slice.  One
+    walk per cycle length c fills the positions in order and serves every
+    v at once.  Only prefixes of necklaces are extended (the prenecklace
+    rule of Fredricksen, Kessler and Maiorana; Ruskey, Savage and Wang,
     J. Algorithms 13, 1992): with p the length of the prefix's longest
     Lyndon prefix, position pos takes only codes >= seq[pos - p], and p
-    stays on equality and becomes pos + 1 otherwise.  A full sequence is a necklace iff c % p == 0, and is kept
-    iff no rotation of its reversal is smaller.  A prefix is cut once its
-    weight exceeds every budget it can still reach, and a position stops
-    scanning a size's trees once none left fits.
+    stays on equality and becomes pos + 1 otherwise.  A full sequence is a
+    necklace iff c % p == 0, and is kept iff no rotation of its reversal
+    is smaller.  A prefix is cut once its weight exceeds every budget it
+    can still reach, and a position takes, per size, the slice from its
+    least code to the last tree that fits.
 
     A prefix is also cut once the vertices left cannot fill its open
     positions.  Every kept sequence obeys three bounds:
@@ -575,11 +584,11 @@ def unicyclic_necklaces(budgets: dict[int, int | None], bits: int,
     vertices and the last one spare[need], need being the least code that
     bounds 1 and 2 leave it.  A tree is placed only if the largest size
     served still holds the reservation after it.  While seq[0]'s run is
-    unbroken the code placed becomes need, so a position scans a size's
-    trees only up to the last code whose reservation fits.  The last
-    position starts its scan at need or at the strict floor of bound 3,
-    whichever is larger.  The bounds cut no prefix that a sequence kept by
-    the reversal check extends, so the output and its order are unchanged.
+    unbroken the code placed becomes need, so a position stops at the first
+    size whose reservation does not fit.  The last position starts its
+    scan at need or at the strict floor of bound 3, whichever is larger.
+    The bounds cut no prefix that a sequence kept by the reversal check
+    extends, so the output and its order are unchanged.
 
     The last position hands over a run, not one graph at a time: with the
     first c - 1 codes fixed, the last codes that pass the reversal check
@@ -592,10 +601,8 @@ def unicyclic_necklaces(budgets: dict[int, int | None], bits: int,
     So per size the last position scans up from its start code, checks the
     reversal only for codes below the least one passed so far at this
     prefix, and stops at the first code that passes: every later code in
-    the size's slice passes too, and the slice from there is the run.  When
-    the size's budget room holds its heaviest tree, as it always does
-    unbounded, the run is that slice itself; otherwise the slice filtered by
-    weight.
+    the size's slice passes too, and the run is the slice from there to the
+    last tree that fits the size's budget room.
 
     The walk carries the cycle's two-state sweep down the positions (first
     root out or in, current root out or in), so the consumer gets each
@@ -620,30 +627,24 @@ def unicyclic_necklaces(budgets: dict[int, int | None], bits: int,
     by_size = _rooted_trees(
         reach[2:4] + [cap - 1 for cap in reach[4:top + 1]], bits)
     # the pooled trees compare as one-character codes, given by size, then
-    # rank; spare[r]: the vertices beyond its root of the tree with code r,
-    # and top past the last code.  Codes follow size, so spare never falls
-    # as the code rises, and spare[r] is also the fewest vertices beyond its
-    # root of a pooled tree with code >= r, as the reservation bounds need.
-    # Per size, sufmin[i]: the least weight in entries[i:], for the exact
-    # early exit; heaviest: the most any entry weighs
+    # rank, so each size's weights never fall as the code rises; spare[r]:
+    # the vertices beyond its root of the tree with code r, and top past the
+    # last code.  Codes follow size, so spare never falls as the code rises,
+    # and spare[r] is also the fewest vertices beyond its root of a pooled
+    # tree with code >= r, as the reservation bounds need
     tables = {}
     spare = []
     for s in range(1, top - 1):
         pool = [t for t in by_size[s] if t.attach_weight <= reach[s + 2]]
         codes = [chr(len(spare) + i) for i in range(len(pool))]
         spare += [s - 1] * len(pool)
+        weights = [t.attach_weight for t in pool]
         entries = [(r, t.attach_weight, t.w0, t.w1, t)
                    for r, t in zip(codes, pool)]
-        sufmin = [t.attach_weight for t in pool]
-        heaviest = max(sufmin, default=0)
-        for i in range(len(sufmin) - 2, -1, -1):
-            sufmin[i] = min(sufmin[i], sufmin[i + 1])
-        tables[s] = (codes, sufmin, entries, heaviest)
+        tables[s] = (codes, weights, entries)
     del by_size
     past = chr(len(spare))  # above every code
     spare.append(top)
-    # cut[k]: the least code whose spare exceeds k
-    cut = [chr(bisect.bisect_right(spare, k)) for k in range(top + 1)]
 
     for c in range(3, top + 1):
         seq = [""] * c
@@ -673,20 +674,19 @@ def unicyclic_necklaces(budgets: dict[int, int | None], bits: int,
                 room = reach[after] - weight
                 if room < 0:
                     break
-                codes, sufmin, entries, _ = tables[s]
-                lo = bisect.bisect_left(codes, floor)
-                hi = bisect.bisect_right(sufmin, room)
                 if p == 1:
                     # seq[0]'s run is unbroken, so the code placed here
                     # becomes need (at position 0, every later position's
-                    # least code too): stop before the first code whose
-                    # reservation does not fit
+                    # least code too): stop at the first size whose
+                    # reservation does not fit, as k never rises with s
                     k = ((top - after) // (c - 1) if pos == 0
                          else top - after - res + each)
-                    hi = min(hi, bisect.bisect_left(codes, cut[k]))
+                    if s - 1 > k:
+                        break
+                codes, weights, entries = tables[s]
+                lo = bisect.bisect_left(codes, floor)
+                hi = bisect.bisect_right(weights, room)
                 for r, aw, w0, w1, t in entries[lo:hi]:
-                    if aw > room:
-                        continue
                     seq[pos] = r
                     trees[pos] = t
                     nxt(pos + 1, after, weight + aw,
@@ -714,16 +714,14 @@ def unicyclic_necklaces(budgets: dict[int, int | None], bits: int,
             ok = past
             for v in served[bisect.bisect_left(served, least):]:
                 room = limits[v] - weight
-                codes, sufmin, entries, heaviest = tables[v - used + 1]
+                codes, weights, entries = tables[v - used + 1]
                 lo = bisect.bisect_left(codes, start)
-                hi = bisect.bisect_right(sufmin, room)
-                # the run starts at the first fitting code below ok that
-                # passes, or else at the first code >= ok
+                hi = bisect.bisect_right(weights, room)
+                # the run starts at the first code below ok that passes, or
+                # else at the first code >= ok
                 below = bisect.bisect_left(codes, ok, lo, hi)
                 for i in range(lo, below):
-                    r, aw, _, _, _ = entries[i]
-                    if aw > room:
-                        continue
+                    r = codes[i]
                     key = head + r
                     rev = r + back
                     rev += rev
@@ -735,12 +733,8 @@ def unicyclic_necklaces(budgets: dict[int, int | None], bits: int,
                         break
                 else:
                     i = below
-                if room >= heaviest:
-                    run = entries[i:hi]
-                else:
-                    run = [e for e in entries[i:hi] if e[1] <= room]
-                if run:
-                    emit(v, c, kept, whole, a, run)
+                if i < hi:
+                    emit(v, c, kept, whole, a, entries[i:hi])
 
         # the state before position 0 makes its update (w0, 0, 0, w1)
         walk(0, c, 0, 1, "\0", 0, 1, 1, -1)

@@ -11,7 +11,9 @@ Grammar (case-sensitive, whitespace ignored):
              | 'g6:'<graph6>
 
 Each term is built by its family constructor in ``graphs``, which checks
-the parameter bounds and names them when they are violated.
+the parameter bounds and names them when they are violated.  graph6 bytes
+lie in 63-126 ('?' to '~'), so a payload holds no '+', parenthesis or
+whitespace, and a 'g6:' term may stand anywhere in a union.
 """
 from __future__ import annotations
 
@@ -31,11 +33,6 @@ _PAREN_MAKERS = {
 
 def parse_spec(text: str) -> Graph:
     """The graph a specification string names; raises GraphSpecError."""
-    text = text.strip()
-    # graph6 payloads may contain '+', '(' etc., so a leading g6: claims the
-    # whole string (a single graph6 string can already encode a union).
-    if text.startswith("g6:"):
-        return _parse_term(text)
     parts = _split_top_level("".join(text.split()))
     if len(parts) > 1:
         return graphs.union(*(_parse_term(p) for p in parts))

@@ -379,10 +379,13 @@ def test_rooted_tree_table_against_independent_oracles():
     bits = 11
     trees = _rooted_trees([math.inf] * 15, bits)
     assert [len(trees[s]) for s in range(1, 15)] == list(A000081)
-    # ranks run 0, 1, ... by size, in list order
+    # ranks run 0, 1, ... by size, in list order, and within a size attach
+    # weights never fall
     ranks = [t.rank for s in range(1, 15) for t in trees[s]]
     assert ranks == list(range(sum(A000081)))
     for s in range(1, 15):
+        weights = [t.attach_weight for t in trees[s]]
+        assert weights == sorted(weights), s
         encoded = set()  # distinct trees per size
         for t in trees[s]:
             edges = []
@@ -412,6 +415,9 @@ def test_capped_rooted_trees_are_the_uncapped_filtered_by_weight(caps):
     for s in range(1, len(caps)):
         assert shapes(capped[s]) == shapes(
             t for t in full[s] if t.inner_weight <= caps[s])
+        for table in (full, capped):
+            weights = [t.attach_weight for t in table[s]]
+            assert weights == sorted(weights), s
 
 
 def _walk_budgets(n, prune):

@@ -42,6 +42,10 @@ def test_poly_union_and_graph6(capsys):
     code, out, _ = run_cli(capsys, "poly", "g6:C~", "--format", "json")
     assert code == 0
     assert json.loads(out)["coeffs"] == ["1", "4"]
+    # a graph6 term may lead a union: I(C_5) * I(C_3)
+    code, out, _ = run_cli(capsys, "poly", "g6:Dhc+C3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["coeffs"] == ["1", "8", "20", "15"]
 
 
 def test_poly_garbage_is_usage_error(capsys):
@@ -133,6 +137,7 @@ GOLDEN = Path(__file__).parent / "golden"
     (("verify-paper", "--max-n", "45"), "verify_paper_45.json"),
     (("verify-paper", "--max-n", "45"), "verify_paper_45.txt"),
     (("unicyclic", "9"), "unicyclic_9.json"),
+    (("class", "33", "--mode", "unicyclic"), "class_33_unicyclic.json"),
 ])
 def test_json_output_matches_golden_bytes(capsys, argv, name):
     fmt = "json" if name.endswith(".json") else "text"

@@ -12,6 +12,8 @@ from indequiv.graphs import (
     union,
 )
 from indequiv.gspec import parse_spec
+from indequiv.indpoly import indpoly
+from indequiv.intpoly import cycle_poly
 
 
 def test_compact_forms():
@@ -41,6 +43,12 @@ def test_unions():
 def test_graph6_specs():
     s = emit_graph6(cycle(9))
     assert canonical_key(parse_spec(f"g6:{s}")) == canonical_key(cycle(9))
+    # graph6 bytes lie in '?' to '~', so a payload never holds a '+', and a
+    # g6: term may stand anywhere in a union
+    c5 = emit_graph6(cycle(5))
+    want = cycle_poly(3) * cycle_poly(5)
+    for spec in (f"g6:{c5}+C3", f"C3+g6:{c5}", f" g6:{c5} + C3 "):
+        assert indpoly(parse_spec(spec)) == want
 
 
 def test_bounds_named_in_errors():
